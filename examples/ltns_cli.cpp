@@ -788,44 +788,43 @@ int cmd_coordinate(int argc, char** argv) {
   std::vector<int> bits(size_t(circ.num_qubits));
   for (int q = 0; q < circ.num_qubits; ++q) bits[size_t(q)] = bitstr[q] == '1';
 
-  dist::ServiceOptions so;
-  so.target_log2size = g_flags.target;
-  so.executor = g_flags.executor;
-  so.grain = g_flags.grain;
-  so.workers_per_process = g_flags.workers;
-  so.backend = effective_backend();
+  // The same engine as `serve`, on this port, running one job.
+  dist::ServerOptions so;
+  so.home_workers = nworkers;
   so.lease_size = g_flags.lease;
   so.heartbeat_seconds = g_flags.heartbeat;
   so.stall_timeout_seconds = g_flags.stall_timeout;
-  so.spill_dir = g_flags.spill_dir;
-  so.resume = g_flags.resume;
-  so.spill_fsync_seconds = g_flags.spill_fsync;
-  so.trace = !g_flags.trace_out.empty();
+  so.accept_timeout_seconds = 300;  // fail rather than hang with no worker
+  so.fsync_seconds = g_flags.spill_fsync;
+  so.workers_per_process = g_flags.workers;
+  so.executor = uint32_t(g_flags.executor);
+  so.grain = g_flags.grain;
+  so.backend = effective_backend();
   so.metrics_out = g_flags.metrics_out;
   so.metrics_interval_seconds = g_flags.metrics_interval;
-  dist::CoordinatorServer server{uint16_t(port)};
+  dist::JobSpec spec;
+  spec.circuit_text = circuit::circuit_to_string(circ);
+  spec.bits = bitstr;
+  spec.target_log2size = g_flags.target;
+  Timer wall;
+  dist::JobServer engine{uint16_t(port), so};
   std::fprintf(stderr, "coordinator listening on port %u, leasing to %d home workers\n",
-               unsigned(server.port()), nworkers);
-  auto res = server.run_amplitude(nworkers, circ, bits, so);
-  if (!res.completed) {
-    std::fprintf(stderr, "distributed run failed: %s\n", res.error.c_str());
+               unsigned(engine.port()), nworkers);
+  const auto res = dist::coordinate(engine, spec, g_flags.spill_dir, g_flags.resume,
+                                    !g_flags.trace_out.empty());
+  if (!res.run.error.empty()) {
+    std::fprintf(stderr, "distributed run failed: %s\n", res.run.error.c_str());
     return 1;
   }
+  const auto& tel = res.run.telemetry;
   std::printf("amplitude = %+.10e %+.10ei  (|a|^2 = %.3e)\n", res.amplitude.real(),
               res.amplitude.imag(), std::norm(res.amplitude));
   std::printf("slices %d, tasks %llu over %d workers\n", res.num_slices,
-              (unsigned long long)res.tasks_run, nworkers);
-  print_shards(res.shards);
-  print_rebalance(res.rebalance);
-  runtime::ExecutorSnapshot rt;
-  runtime::MemoryStats mem;
-  uint64_t reduce_merges = 0;
-  for (const auto& s : res.shards) {
-    rt.merge(s.executor);
-    mem.merge(s.memory);
-    reduce_merges += s.reduce_merges;
-  }
-  flush_observability(rt, mem, res.rebalance, res.tasks_run, reduce_merges, res.wall_seconds);
+              (unsigned long long)res.run.tasks_run, nworkers);
+  print_shards(tel.shards);
+  print_rebalance(tel.rebalance);
+  flush_observability(tel.runtime_stats, tel.memory, tel.rebalance, res.run.tasks_run,
+                      res.run.reduce_merges, wall.seconds());
   if (circ.num_qubits <= 22) {
     auto exact = sv::simulate_amplitude(circ, bits);
     std::printf("statevector check: |diff| = %.3g\n", std::abs(res.amplitude - exact));

@@ -1,6 +1,6 @@
 // Durable run ledger: coordinator checkpoint/restart for sharded runs.
 //
-// The lease driver (dist/elastic.hpp) survives worker deaths, but the
+// The coordinator engine (dist/server.hpp) survives worker deaths, but the
 // coordinator itself was a single point of failure: its LeaseLedger and the
 // ShardMerger's partial tournament lived only in memory. This file adds the
 // write-ahead spill that closes that gap.
@@ -140,9 +140,10 @@ struct CompactionStats {
 // the tail drops — the same contract as replay).
 CompactionStats compact_checkpoint(const std::string& dir);
 
-// One-stop journal setup shared by every driver (fork runner, TCP
-// service): with `resume`, first compacts the existing journal, then
-// replays it into ledger + merger and reopens it for appending; otherwise
+// One-stop journal setup for a coordinator job (fork runner, TCP
+// coordinator and serve alike): with `resume`, first compacts the existing
+// journal, then replays it into ledger + merger and reopens it for
+// appending; otherwise
 // — or when no journal exists yet — starts a fresh journal for `meta`.
 // Throws like replay_checkpoint / the CheckpointWriter constructors
 // (compaction failure is non-fatal: the uncompacted journal replays).
@@ -150,7 +151,7 @@ std::unique_ptr<class CheckpointWriter> open_or_resume_journal(
     const std::string& dir, const CheckpointMeta& meta, bool resume,
     double fsync_interval_seconds, LeaseLedger* ledger, ShardMerger* merger);
 
-// The write half, plugged into ElasticCoordinator::set_journal. Owns the
+// The write half, opened per job by the coordinator engine. Owns the
 // journal fd; all methods throw std::runtime_error on I/O failure (a
 // coordinator that cannot spill must fail the run, not silently lose its
 // durability guarantee).

@@ -31,7 +31,7 @@
 namespace ltns::dist {
 
 // Rebalance telemetry for one sharded run; surfaced through
-// ShardRunResult/CoordinatorResult and folded into the aggregated
+// ShardRunResult and job records and folded into the aggregated
 // ExecutorSnapshot (ranges_stolen / ranges_reissued / straggler wait).
 struct RebalanceStats {
   uint64_t leases_issued = 0;

@@ -25,6 +25,7 @@
 #include "dist/shard_merge.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "query/eval.hpp"
 #include "query/grouper.hpp"
 #include "util/timer.hpp"
@@ -101,7 +102,64 @@ ByteReader open_state_payload(const std::vector<uint8_t>& bytes) {
   return r;
 }
 
+// The canonical key preimage forms the Simulator hashes ('0'/'1' bit
+// text, "q0,q1," open text) — a batch the server computes must be
+// addressable by a solo run pointed at the same --cache-dir.
+std::string bit_text(const std::vector<int>& bits) {
+  std::string t;
+  t.reserve(bits.size());
+  for (int b : bits) t += b != 0 ? '1' : '0';
+  return t;
+}
+
+std::string open_text(const std::vector<int>& open_qubits) {
+  std::string t;
+  for (int q : open_qubits) t += std::to_string(q) + ",";
+  return t;
+}
+
+// plan_spec's body, shared with query children: plans `bits` of the
+// spec's circuit with `open_qubits` left open.
+SpecPlan plan_bits(const JobSpec& s, const circuit::Circuit& circ, const std::vector<int>& bits,
+                   const std::vector<int>& open_qubits, const ServerOptions& opt,
+                   cache::PlanCache* plan_cache) {
+  SpecPlan out;
+  // Plan-cache aware: a repeated circuit (same knobs) skips the path
+  // optimizer and the slicers entirely; the rebuilt plan is identical, so
+  // the job's amplitude stays byte-identical either way.
+  out.prepared = prepare_job(circ, s.circuit_text, bits, s.target_log2size, s.plan_seed,
+                             plan_cache, nullptr, open_qubits);
+  const core::Plan& plan = out.prepared->plan;
+  const int ns = plan.num_slices();
+  if (ns >= 57) throw std::runtime_error("too many sliced edges");  // run_sharded's bound
+  out.total = uint64_t(1) << ns;
+  Job& j = out.job;
+  j.circuit_text = s.circuit_text;
+  j.bits = bit_text(bits);
+  j.open_qubits = open_qubits;
+  j.target_log2size = s.target_log2size;
+  j.plan_seed = s.plan_seed;
+  j.executor = opt.executor;
+  j.grain = opt.grain;
+  j.workers = opt.workers_per_process;
+  j.num_slices = int32_t(ns);
+  j.fused = s.fused;
+  j.ldm_elems = s.ldm_elems;
+  j.backend = job_backend_spec(opt.backend, s);
+  out.run_id = run_fingerprint(s.circuit_text, j.bits, open_text(open_qubits), s.fused != 0,
+                               s.ldm_elems, plan.path, plan.slices.to_vector());
+  return out;
+}
+
 }  // namespace
+
+SpecPlan plan_spec(const JobSpec& spec, const ServerOptions& opt, cache::PlanCache* plan_cache) {
+  const auto circ = circuit::circuit_from_string(spec.circuit_text);
+  std::vector<int> bits;
+  bits.reserve(spec.bits.size());
+  for (char ch : spec.bits) bits.push_back(ch == '1');
+  return plan_bits(spec, circ, bits, {}, opt, plan_cache);
+}
 
 // --- FairShare -------------------------------------------------------------
 
@@ -170,34 +228,30 @@ void AdmissionControl::observe_utilization(double mean_ema) {
     limit_ = std::min(opt_.max_running, limit_ + 1);
 }
 
-// --- JobServer -------------------------------------------------------------
+// --- the engine ------------------------------------------------------------
 
-JobServer::JobServer(uint16_t port, ServerOptions opt) : opt_(std::move(opt)) {
-  listen_fd_ = listen_on(port, &port_);
-}
-
-JobServer::~JobServer() { close_fd(&listen_fd_); }
-
-namespace {
-
-struct ServerImpl {
-  int listen_fd;
-  const ServerOptions& opt;
+struct JobServer::Impl {
+  int listen_fd = -1;  // -1 = no listener (fork mode)
+  uint16_t port = 0;
+  ServerOptions opt;
 
   struct Peer {
     int fd = -1;
     enum class Kind { kUnknown, kWorker, kWaiter } kind = Kind::kUnknown;
-    int worker_id = -1;
+    int worker_id = -1;  // preset by add_worker, else assigned at kHello
     bool parked = false;
-    bool draining = false;
+    bool draining = false;  // kDrain sent, waiting for kDone
     bool finished = false;
     bool stalled = false;
     std::string backend;
     WorkerPulse pulse;
     bool has_pulse = false;
+    uint64_t leases_completed = 0;
     std::set<uint64_t> jobs_sent;  // job ids whose kJob frame this worker holds
     uint64_t waiting_job = 0;      // kind == kWaiter
     Timer last_seen;
+    Timer parked_since;  // set when a lease request parks on an empty queue
+    Timer drain_since;   // set when kDrain goes out; bounds the goodbye wait
   };
   std::vector<Peer> peers;
   int next_worker_id = 0;
@@ -235,6 +289,13 @@ struct ServerImpl {
     std::vector<ShardTelemetry> query_tel;  // accumulated across children
     std::vector<std::vector<std::complex<double>>> group_amps;
 
+    std::string spill_dir;  // journal directory ("" = none)
+    // run_one's job: like a query child, it hands its raw root to its owner
+    // instead of an amplitude.
+    bool one_shot = false;
+    exec::Tensor root;
+    uint64_t merges = 0;  // coordinator tournament merges of `root`
+
     bool internal() const { return parent != 0; }
   };
   std::map<uint64_t, ServerJob> jobs;
@@ -243,7 +304,8 @@ struct ServerImpl {
   FairShare shares;
   AdmissionControl admission;
   bool shutting_down = false;
-  std::string fatal;
+  bool one_shot = false;  // run_one: no job beyond the one it admitted
+  std::string peer_errors;  // why workers were dropped, appended to `fatal`
   uint64_t submitted = 0, rejected = 0, cancelled = 0, completed = 0, failed = 0;
   uint64_t late_frames_dropped = 0;
   uint64_t served_from_cache = 0;
@@ -253,13 +315,41 @@ struct ServerImpl {
   std::unique_ptr<cache::PlanCache> plan_cache;
   std::unique_ptr<cache::ResultCache> result_cache;
 
-  ServerImpl(int fd, const ServerOptions& o) : listen_fd(fd), opt(o), admission(o.admission) {
+  Impl(int fd, uint16_t bound_port, ServerOptions o)
+      : listen_fd(fd), port(bound_port), opt(std::move(o)), admission(opt.admission) {
+    // Stall detection only works when heartbeats outpace the timeout. With
+    // heartbeats disabled there is no way to tell slow from dead, so stall
+    // revocation must be off too (death still surfaces as EOF) — otherwise
+    // every long lease would be revoked, its result dropped as late, and
+    // the same range re-issued forever: a livelock, not a safety net. With
+    // heartbeats on, keep the timeout a few periods wide for the same
+    // reason.
+    if (opt.heartbeat_seconds <= 0) {
+      opt.stall_timeout_seconds = 0;
+    } else if (opt.stall_timeout_seconds > 0) {
+      opt.stall_timeout_seconds = std::max(opt.stall_timeout_seconds, 4 * opt.heartbeat_seconds);
+    }
     if (!opt.cache.cache_dir.empty()) {
       if (opt.cache.plan_enabled()) plan_cache = std::make_unique<cache::PlanCache>(opt.cache);
       if (opt.cache.result_enabled())
         result_cache = std::make_unique<cache::ResultCache>(opt.cache);
     }
   }
+
+  ~Impl() {
+    close_fd(&listen_fd);
+    for (auto& p : peers) close_fd(&p.fd);
+  }
+
+  // Bounds the waits that are NOT heartbeat-driven (mid-frame reads, the
+  // post-drain goodbye, an unfinished handshake) even when stall detection
+  // is disabled.
+  double goodbye_timeout() const {
+    return opt.stall_timeout_seconds > 0 ? std::max(1.0, opt.stall_timeout_seconds) : 30.0;
+  }
+
+  // No job beyond those already admitted will start.
+  bool closed() const { return shutting_down || one_shot; }
 
   // The exact PlanOptions prepare_job derives from a spec — the cache keys
   // must hash the same preimage a solo `amp` run with these knobs hashes,
@@ -273,20 +363,6 @@ struct ServerImpl {
   static std::string spec_result_key(const JobSpec& s) {
     return cache::result_key(s.circuit_text, s.bits, /*open_qubits=*/"", spec_plan_options(s),
                              s.fused != 0, s.ldm_elems);
-  }
-  // The canonical key preimage forms the Simulator hashes ('0'/'1' bit
-  // text, "q0,q1," open text) — a batch the server computes must be
-  // addressable by a solo run pointed at the same --cache-dir.
-  static std::string bit_text(const std::vector<int>& bits) {
-    std::string t;
-    t.reserve(bits.size());
-    for (int b : bits) t += b != 0 ? '1' : '0';
-    return t;
-  }
-  static std::string open_text(const std::vector<int>& open_qubits) {
-    std::string t;
-    for (int q : open_qubits) t += std::to_string(q) + ",";
-    return t;
   }
   // Everything the result key hashes besides bits/open — the scope the
   // covering-batch index partitions on (mirrors api::Simulator).
@@ -414,7 +490,7 @@ struct ServerImpl {
   }
 
   void maybe_start_jobs() {
-    if (shutting_down) return;
+    if (closed()) return;
     while (running_count() < admission.running_limit()) {
       ServerJob* j = pick_by_fair_share(JobState::kQueued);
       if (j == nullptr) return;
@@ -427,61 +503,44 @@ struct ServerImpl {
       start_query_job(j);
       return;
     }
+    SpecPlan sp;
     try {
-      auto circ = circuit::circuit_from_string(j.spec.circuit_text);
-      std::vector<int> bits;
-      bits.reserve(j.spec.bits.size());
-      for (char ch : j.spec.bits) bits.push_back(ch == '1');
-      // Plan-cache aware: a repeated circuit (same knobs) skips the path
-      // optimizer and the slicers entirely; the rebuilt plan is identical,
-      // so the job's amplitude stays byte-identical either way.
-      j.prepared = prepare_job(circ, j.spec.circuit_text, bits, j.spec.target_log2size,
-                               j.spec.plan_seed, plan_cache.get());
+      sp = plan_spec(j.spec, opt, plan_cache.get());
     } catch (const std::exception& e) {
       fail_job(j, std::string("planning failed: ") + e.what());
       return;
     }
-    const int ns = j.prepared->plan.num_slices();
-    if (ns >= 57) {  // same bound run_sharded enforces
-      fail_job(j, "too many sliced edges");
-      return;
-    }
-    j.total = uint64_t(1) << ns;
-
-    j.base = Job{};
+    j.prepared = std::move(sp.prepared);
+    j.base = std::move(sp.job);
     j.base.job_id = j.id;
-    j.base.circuit_text = j.spec.circuit_text;
-    j.base.bits = j.spec.bits;
-    j.base.target_log2size = j.spec.target_log2size;
-    j.base.plan_seed = j.spec.plan_seed;
-    j.base.executor = opt.executor;
-    j.base.grain = opt.grain;
-    j.base.workers = opt.workers_per_process;
-    j.base.num_slices = int32_t(ns);
-    j.base.fused = j.spec.fused;
-    j.base.ldm_elems = j.spec.ldm_elems;
-    j.base.backend = job_backend_spec(opt.backend, j.spec);
+    if (!opt.state_dir.empty()) {
+      ensure_dir(job_dir(j.id));
+      j.spill_dir = job_dir(j.id) + "/spill";
+    }
+    // Always resume-if-present: a re-queued job that was mid-run when the
+    // server died replays its journal and recomputes only the tail.
+    admit(j, sp.total, sp.run_id, /*resume=*/true);
+  }
 
+  // Runs `j` over a fresh ledger + merger. With a spill dir the journal is
+  // opened first — replayed when `resume` — and a journal that already
+  // covers the run finishes the job at once.
+  void admit(ServerJob& j, uint64_t total, const std::string& run_id, bool resume) {
+    j.total = total;
     // Disjoint lease-id base: the job id rides the high 32 bits of every
     // lease this ledger issues, so worker frames route by lease id alone.
-    j.ledger = std::make_unique<LeaseLedger>(j.total, std::max(1, opt.home_workers),
+    j.ledger = std::make_unique<LeaseLedger>(total, std::max(1, opt.home_workers),
                                              opt.lease_size, (j.id << 32) | 1);
-    j.merger = std::make_unique<ShardMerger>(j.total);
-    if (!opt.state_dir.empty()) {
+    j.merger = std::make_unique<ShardMerger>(total);
+    if (!j.spill_dir.empty()) {
       try {
-        ensure_dir(job_dir(j.id));
         CheckpointMeta meta;
-        meta.total = j.total;
+        meta.total = total;
         meta.home_workers = int32_t(std::max(1, opt.home_workers));
         meta.lease_size = j.ledger->lease_size();
-        meta.run_id = run_fingerprint(j.spec.circuit_text, j.spec.bits, /*open_qubits=*/"",
-                                      j.spec.fused != 0, j.spec.ldm_elems,
-                                      j.prepared->plan.path,
-                                      j.prepared->plan.slices.to_vector());
-        // Always resume-if-present: a re-queued job that was mid-run when
-        // the server died replays its journal and recomputes only the tail.
-        j.journal = open_or_resume_journal(job_dir(j.id) + "/spill", meta, /*resume=*/true,
-                                           opt.fsync_seconds, j.ledger.get(), j.merger.get());
+        meta.run_id = run_id;
+        j.journal = open_or_resume_journal(j.spill_dir, meta, resume, opt.fsync_seconds,
+                                           j.ledger.get(), j.merger.get());
       } catch (const std::exception& e) {
         fail_job(j, std::string("spill journal: ") + e.what());
         return;
@@ -489,7 +548,7 @@ struct ServerImpl {
     }
     j.state = JobState::kRunning;
     j.run_wall.reset();
-    if (j.ledger->done()) finish_job(j);  // journal already covered the run
+    if (j.ledger->done()) finish_job(j);
   }
 
   // --- query jobs (v6) -----------------------------------------------------
@@ -572,47 +631,23 @@ struct ServerImpl {
     c.spec.kind = "amp";
     c.spec.query_text.clear();
     c.spec.name = parent.spec.name + "#g" + std::to_string(parent.next_group);
+    SpecPlan sp;
     try {
-      c.prepared = prepare_job(parent.qcircuit, parent.spec.circuit_text, g.base_bits,
-                               parent.spec.target_log2size, parent.spec.plan_seed,
-                               plan_cache.get(), nullptr, g.open_qubits);
+      sp = plan_bits(parent.spec, parent.qcircuit, g.base_bits, g.open_qubits, opt,
+                     plan_cache.get());
     } catch (const std::exception& e) {
       fail_job(parent,
                "group " + std::to_string(parent.next_group) + " planning failed: " + e.what());
       return;
     }
-    const int ns = c.prepared->plan.num_slices();
-    if (ns >= 57) {
-      fail_job(parent, "group " + std::to_string(parent.next_group) + ": too many sliced edges");
-      return;
-    }
-    c.total = uint64_t(1) << ns;
-
-    c.base = Job{};
+    c.prepared = std::move(sp.prepared);
+    c.base = std::move(sp.job);
     c.base.job_id = id;
-    c.base.circuit_text = parent.spec.circuit_text;
-    c.base.bits = bit_text(g.base_bits);
-    c.base.open_qubits = g.open_qubits;
-    c.base.target_log2size = parent.spec.target_log2size;
-    c.base.plan_seed = parent.spec.plan_seed;
-    c.base.executor = opt.executor;
-    c.base.grain = opt.grain;
-    c.base.workers = opt.workers_per_process;
-    c.base.num_slices = int32_t(ns);
-    c.base.fused = parent.spec.fused;
-    c.base.ldm_elems = parent.spec.ldm_elems;
-    c.base.backend = job_backend_spec(opt.backend, parent.spec);
-
-    c.ledger = std::make_unique<LeaseLedger>(c.total, std::max(1, opt.home_workers),
-                                             opt.lease_size, (id << 32) | 1);
-    c.merger = std::make_unique<ShardMerger>(c.total);
+    parent.child = id;
     // No spill journal: a crashed server re-queues the PARENT (its spec is
     // persisted, its result is not) and replans every group — the plan
     // cache makes that cheap, and children stay entirely in memory.
-    c.state = JobState::kRunning;
-    c.run_wall.reset();
-    parent.child = id;
-    jobs.emplace(id, std::move(c));
+    admit(jobs.emplace(id, std::move(c)).first->second, sp.total, "", false);
   }
 
   // A child's merger drained: convert its root into the parent's group
@@ -714,24 +749,31 @@ struct ServerImpl {
     finalize_job(j, std::move(rec));
   }
 
+  // Hands worker `w` its next lease, its one kDrain once nothing is left
+  // to run, or parks it until a revoke, a new job or the drain.
   void dispatch(Peer& w) {
-    if (shutting_down && running_count() == 0) {
+    if (closed() && running_count() == 0) {
+      unpark(w);
+      // Exactly ONE kDrain per peer: a duplicate would sit unread in the
+      // worker's receive buffer when it exits, turning its close into a TCP
+      // RST that can destroy the trace/done frames still in flight.
       if (!w.draining) {
         write_frame(w.fd, FrameType::kDrain, nullptr, 0);
         w.draining = true;
+        w.drain_since.reset();
       }
       return;
     }
     ServerJob* j = pick_by_fair_share(JobState::kRunning);
-    if (j == nullptr) {
-      w.parked = true;
-      return;
-    }
     Lease l;
-    if (!j->ledger->acquire(w.worker_id, &l)) {
-      w.parked = true;
+    if (j == nullptr || !j->ledger->acquire(w.worker_id, &l)) {
+      if (!w.parked) {
+        w.parked = true;
+        w.parked_since.reset();
+      }
       return;
     }
+    unpark(w);
     if (w.jobs_sent.find(j->id) == w.jobs_sent.end()) {
       ByteWriter jw;
       put_job(jw, j->base);
@@ -749,14 +791,34 @@ struct ServerImpl {
 
   void serve_parked() {
     for (auto& p : peers) {
-      if (p.kind != Peer::Kind::kWorker || p.fd < 0 || p.finished || !p.parked) continue;
-      p.parked = false;
+      if (p.fd < 0 || p.finished || !p.parked) continue;
       try {
-        dispatch(p);  // re-parks when still nothing to hand out
+        dispatch(p);  // stays parked while there is still nothing to hand out
       } catch (...) {
         drop_peer(p);
       }
     }
+  }
+
+  // Parked time is straggler wait: each job running while the worker idled
+  // is charged the part of the wait that overlapped its run.
+  void charge_wait(ServerJob& j, const Peer& p) {
+    j.ledger->stats().straggler_wait_seconds +=
+        std::min(p.parked_since.seconds(), j.run_wall.seconds());
+  }
+
+  void unpark(Peer& p) {
+    if (!p.parked) return;
+    p.parked = false;
+    for (auto& [id, j] : jobs)
+      if (j.state == JobState::kRunning && j.ledger != nullptr) charge_wait(j, p);
+  }
+
+  // Every running ledger requeues the ranges `worker_id` held.
+  void revoke(int worker_id, bool lost) {
+    for (auto& [id, j] : jobs)
+      if (j.state == JobState::kRunning && j.ledger != nullptr)
+        j.ledger->revoke_worker(worker_id, lost);
   }
 
   void drop_peer(Peer& p) {
@@ -764,13 +826,10 @@ struct ServerImpl {
     p.fd = -1;
     const bool was_finished = p.finished;
     p.finished = true;
-    if (p.kind == Peer::Kind::kWorker && p.worker_id >= 0 && !was_finished && !p.draining) {
-      // Revoke across every running job: each ledger requeues the ranges
-      // this worker held, exactly like a one-shot coordinator.
-      for (auto& [id, j] : jobs)
-        if (j.state == JobState::kRunning && j.ledger != nullptr)
-          j.ledger->revoke_worker(p.worker_id, /*lost=*/true);
-    }
+    unpark(p);
+    // A draining worker already finished every lease — losing only its
+    // goodbye frames is not a lost worker.
+    if (p.worker_id >= 0 && !was_finished) revoke(p.worker_id, /*lost=*/!p.draining);
   }
 
   // --- job completion ------------------------------------------------------
@@ -780,26 +839,22 @@ struct ServerImpl {
       finish_child_job(j);
       return;
     }
+    for (const auto& p : peers)
+      if (p.parked) charge_wait(j, p);
     JobResultRecord rec;
     rec.job_id = j.id;
     rec.name = j.spec.name;
     rec.tenant = j.spec.tenant;
     rec.num_slices = j.base.num_slices;
     rec.wall_seconds = j.run_wall.seconds();
-    for (const auto& [wid, tel] : j.worker_tel) rec.telemetry.shards.push_back(tel);
-    auto agg = aggregate_telemetry(rec.telemetry.shards);
-    rec.telemetry.stats = agg.stats;
-    rec.telemetry.runtime_stats = agg.executor;
-    rec.telemetry.memory = agg.memory;
-    rec.tasks_run = agg.tasks_run;
-    rec.telemetry.rebalance = j.ledger->stats();
-    rec.telemetry.runtime_stats.ranges_stolen += rec.telemetry.rebalance.ranges_stolen;
-    rec.telemetry.runtime_stats.ranges_reissued += rec.telemetry.rebalance.ranges_reissued;
-    rec.telemetry.runtime_stats.straggler_wait_seconds +=
-        rec.telemetry.rebalance.straggler_wait_seconds;
+    fill_telemetry(j, &rec);
     if (!j.merger->complete()) {
       rec.state = JobState::kFailed;
       rec.error = "reduction incomplete despite a drained ledger";
+    } else if (j.one_shot) {
+      j.merges = j.merger->merges();
+      j.root = j.merger->take_root();
+      rec.state = JobState::kDone;
     } else {
       auto root = j.merger->take_root();
       if (root.rank() != 0 || root.size() != 1) {
@@ -825,6 +880,23 @@ struct ServerImpl {
       }
     }
     finalize_job(j, std::move(rec));
+  }
+
+  // The record's telemetry tail: the workers' latest cumulative records,
+  // their aggregate, and the ledger's lease counters folded into the
+  // executor snapshot so they ride every telemetry path.
+  void fill_telemetry(const ServerJob& j, JobResultRecord* rec) const {
+    auto& t = rec->telemetry;
+    for (const auto& [wid, tel] : j.worker_tel) t.shards.push_back(tel);
+    const auto agg = aggregate_telemetry(t.shards);
+    t.stats = agg.stats;
+    t.runtime_stats = agg.executor;
+    t.memory = agg.memory;
+    rec->tasks_run = agg.tasks_run;
+    t.rebalance = j.ledger->stats();
+    t.runtime_stats.ranges_stolen += t.rebalance.ranges_stolen;
+    t.runtime_stats.ranges_reissued += t.rebalance.ranges_reissued;
+    t.runtime_stats.straggler_wait_seconds += t.rebalance.straggler_wait_seconds;
   }
 
   void fail_job(ServerJob& j, const std::string& error) {
@@ -885,9 +957,9 @@ struct ServerImpl {
     // With the writer closed, shrink a finished job's spill journal to its
     // single-span form (PR 5 carry-over: long-lived state dirs must not
     // accumulate one record per lease forever).
-    if (!opt.state_dir.empty() && j.state == JobState::kDone) {
+    if (!j.spill_dir.empty() && j.state == JobState::kDone) {
       try {
-        compact_checkpoint(job_dir(j.id) + "/spill");
+        compact_checkpoint(j.spill_dir);
       } catch (const std::exception&) {
         // Compaction is an optimization; the full journal still resumes.
       }
@@ -947,7 +1019,9 @@ struct ServerImpl {
     ByteReader r(f.payload);
     auto spec = get_job_spec(r);
     std::string reason;
-    if (shutting_down) {
+    if (one_shot) {
+      reason = "this coordinator runs a single job";
+    } else if (shutting_down) {
       reason = "server is shutting down";
     } else if (!admission.admit(queued_count())) {
       reason = "queue full (" + std::to_string(queued_count()) + " of " +
@@ -1101,13 +1175,12 @@ struct ServerImpl {
     if (p.kind == Peer::Kind::kUnknown) {
       switch (f.type) {
         case FrameType::kHello: {
-          const int id = next_worker_id++;
+          if (p.worker_id < 0) p.worker_id = next_worker_id++;
           ByteWriter w;
-          w.put<int32_t>(int32_t(id));
+          w.put<int32_t>(int32_t(p.worker_id));
           w.put<double>(opt.heartbeat_seconds);
           write_frame(p.fd, FrameType::kWelcome, w);
           p.kind = Peer::Kind::kWorker;
-          p.worker_id = id;
           return;
         }
         case FrameType::kStatusRequest:
@@ -1214,7 +1287,10 @@ struct ServerImpl {
           fail_job(j, e.what());
           break;
         }
-        if (merged && !r.exhausted()) {
+        if (merged) ++p.leases_completed;
+        // Cumulative, so the latest record supersedes every earlier one —
+        // even when this range arrived too late to merge, the work was done.
+        if (!r.exhausted()) {
           auto tel = get_telemetry(r);
           tel.shard = p.worker_id;
           j.worker_tel[p.worker_id] = tel;
@@ -1233,6 +1309,12 @@ struct ServerImpl {
         }
         break;
       }
+      case FrameType::kTrace:
+        // The worker's serialized trace buffers, shipped right before its
+        // kDone; merged into this process's flush under the worker's own
+        // rank/pid.
+        obs::Tracer::instance().ingest(f.payload);
+        break;
       case FrameType::kDone:
         ::close(p.fd);
         p.fd = -1;
@@ -1331,7 +1413,57 @@ struct ServerImpl {
     obs::MetricsRegistry reg;
     obs::fill_server_metrics(reg, metrics_sample());
     obs::fill_cache_metrics(reg, cache_sample());
+    fill_coordinator_metrics(reg);
     reg.write_files(opt.metrics_out);  // best effort
+  }
+
+  // The scheduler-eye series: ledger progress and lease counters summed
+  // over the running jobs, plus one gauge set per worker from its pulses.
+  void fill_coordinator_metrics(obs::MetricsRegistry& reg) const {
+    uint64_t done = 0, total = 0, pending = 0, active = 0;
+    RebalanceStats s;
+    double lag = -1;
+    for (const auto& [id, j] : jobs) {
+      if (j.state != JobState::kRunning || j.ledger == nullptr) continue;
+      done += j.ledger->tasks_done();
+      total += j.ledger->total();
+      pending += j.ledger->pending_ranges();
+      active += j.ledger->active_leases();
+      const auto& js = j.ledger->stats();
+      s.leases_issued += js.leases_issued;
+      s.leases_completed += js.leases_completed;
+      s.ranges_stolen += js.ranges_stolen;
+      s.ranges_reissued += js.ranges_reissued;
+      s.ranges_requeued += js.ranges_requeued;
+      s.workers_lost += js.workers_lost;
+      s.straggler_wait_seconds += js.straggler_wait_seconds;
+      if (j.journal != nullptr) lag = std::max(lag, j.journal->lag_seconds());
+    }
+    reg.gauge("ltns_coordinator_tasks_done", double(done));
+    reg.gauge("ltns_coordinator_tasks_total", double(total));
+    reg.gauge("ltns_coordinator_pending_ranges", double(pending));
+    reg.gauge("ltns_coordinator_active_leases", double(active));
+    reg.counter("ltns_leases_issued_total", double(s.leases_issued));
+    reg.counter("ltns_leases_completed_total", double(s.leases_completed));
+    reg.counter("ltns_ranges_stolen_total", double(s.ranges_stolen));
+    reg.counter("ltns_ranges_reissued_total", double(s.ranges_reissued));
+    reg.counter("ltns_ranges_requeued_total", double(s.ranges_requeued));
+    reg.counter("ltns_workers_lost_total", double(s.workers_lost));
+    reg.counter("ltns_straggler_wait_seconds_total", s.straggler_wait_seconds);
+    if (lag >= 0) reg.gauge("ltns_journal_lag_seconds", lag);
+    for (const auto& p : peers) {
+      if (p.worker_id < 0) continue;
+      const obs::Labels worker{{"worker", std::to_string(p.worker_id)}};
+      reg.gauge("ltns_worker_alive", p.fd >= 0 && !p.finished ? 1 : 0, worker);
+      reg.gauge("ltns_worker_leases_completed", double(p.leases_completed), worker);
+      if (p.has_pulse) {
+        reg.gauge("ltns_worker_utilization_ema", p.pulse.ema_utilization, worker);
+        reg.gauge("ltns_worker_tasks_run", double(p.pulse.tasks_run), worker);
+        reg.gauge("ltns_worker_device_bytes", p.pulse.device_bytes, worker);
+        reg.gauge("ltns_worker_device_ns", p.pulse.device_ns, worker);
+        reg.gauge("ltns_worker_wall_seconds", p.pulse.wall_seconds, worker);
+      }
+    }
   }
 
   std::string job_status_json(const ServerJob& j) const {
@@ -1357,7 +1489,8 @@ struct ServerImpl {
     }
     if (j.ledger != nullptr) {
       o << ",\"pending_ranges\":" << j.ledger->pending_ranges()
-        << ",\"active_leases\":" << j.ledger->active_leases();
+        << ",\"active_leases\":" << j.ledger->active_leases()
+        << ",\"lease_size\":" << j.ledger->lease_size();
       // Per-job progress straight from the live pulses: which workers have
       // contributed, and how much, as of their latest kRangeDone.
       o << ",\"workers\":[";
@@ -1369,6 +1502,22 @@ struct ServerImpl {
         first = false;
       }
       o << "]";
+    }
+    const auto& s = j.ledger != nullptr ? j.ledger->stats() : j.result.telemetry.rebalance;
+    o << ",\"rebalance\":{\"leases_issued\":" << s.leases_issued
+      << ",\"leases_completed\":" << s.leases_completed << ",\"ranges_stolen\":" << s.ranges_stolen
+      << ",\"ranges_reissued\":" << s.ranges_reissued
+      << ",\"ranges_requeued\":" << s.ranges_requeued
+      << ",\"late_results_dropped\":" << s.late_results_dropped
+      << ",\"workers_lost\":" << s.workers_lost << ",\"ranges_replayed\":" << s.ranges_replayed
+      << ",\"tasks_replayed\":" << s.tasks_replayed
+      << ",\"straggler_wait_seconds\":" << s.straggler_wait_seconds << "}";
+    if (j.journal != nullptr) {
+      // Spill-dir health (journal size, fsync age): the status view of
+      // checkpoint lag.
+      const auto health = j.journal->health_json();
+      if (!health.empty()) o << ",\"spill\":" << health;
+      o << ",\"journal_lag_seconds\":" << j.journal->lag_seconds();
     }
     if (j.state == JobState::kRunning)
       o << ",\"wall_seconds\":" << j.run_wall.seconds();
@@ -1422,17 +1571,23 @@ struct ServerImpl {
     o << "],\"workers\":[";
     first = true;
     for (const auto& p : peers) {
-      if (p.kind != Peer::Kind::kWorker) continue;
+      if (p.worker_id < 0) continue;
       o << (first ? "" : ",") << "{\"id\":" << p.worker_id << ",\"backend\":\""
         << (p.backend.empty() ? "?" : obs::json_escape(p.backend))
         << "\",\"alive\":" << (p.fd >= 0 && !p.finished ? "true" : "false")
         << ",\"parked\":" << (p.parked ? "true" : "false")
         << ",\"draining\":" << (p.draining ? "true" : "false")
         << ",\"stalled\":" << (p.stalled ? "true" : "false")
-        << ",\"last_seen_seconds\":" << p.last_seen.seconds();
-      if (p.has_pulse)
-        o << ",\"utilization_ema\":" << p.pulse.ema_utilization
-          << ",\"tasks_run\":" << p.pulse.tasks_run;
+        << ",\"last_seen_seconds\":" << p.last_seen.seconds()
+        << ",\"leases_completed\":" << p.leases_completed;
+      if (p.has_pulse) {
+        // The latest heartbeat pulse, refreshed after every finished block.
+        const auto& u = p.pulse;
+        o << ",\"utilization_ema\":" << u.ema_utilization << ",\"tasks_run\":" << u.tasks_run
+          << ",\"device_bytes\":" << u.device_bytes << ",\"device_ns\":" << u.device_ns
+          << ",\"device_bytes_per_ns\":" << (u.device_ns > 0 ? u.device_bytes / u.device_ns : 0)
+          << ",\"wall_seconds\":" << u.wall_seconds;
+      }
       o << "}";
       first = false;
     }
@@ -1452,26 +1607,66 @@ struct ServerImpl {
   void accept_peer() {
     int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) return;
-    set_rcv_timeout(fd, std::max(1.0, opt.stall_timeout_seconds));
+    set_rcv_timeout(fd, goodbye_timeout());
     Peer p;
     p.fd = fd;
     peers.push_back(std::move(p));
   }
 
-  std::string run() {
+  void add_worker(int fd, int worker_id) {
+    set_rcv_timeout(fd, goodbye_timeout());
+    Peer p;
+    p.fd = fd;
+    p.worker_id = worker_id;
+    peers.push_back(std::move(p));
+    next_worker_id = std::max(next_worker_id, worker_id + 1);
+  }
+
+  // Why a run with outstanding work cannot go on, or "" while it can: no
+  // worker is left and none can join, or none has been productive for
+  // accept_timeout_seconds.
+  std::string dead_end(Timer& no_worker) const {
+    uint64_t left = 0, total = 0;
+    for (const auto& [id, j] : jobs) {
+      if (j.state != JobState::kRunning || j.ledger == nullptr) continue;
+      left += j.ledger->total() - j.ledger->tasks_done();
+      total += j.ledger->total();
+    }
+    int live = 0, productive = 0;
+    for (const auto& p : peers) {
+      if (p.worker_id < 0 || p.fd < 0 || p.finished) continue;
+      ++live;
+      if (!p.stalled) ++productive;
+    }
+    if (left == 0 || productive > 0) {
+      no_worker.reset();
+      return "";
+    }
+    if (live == 0 && listen_fd < 0)
+      return "all workers died with " + std::to_string(left) + " of " + std::to_string(total) +
+             " tasks outstanding";
+    if (opt.accept_timeout_seconds > 0 &&
+        no_worker.seconds() > double(opt.accept_timeout_seconds))
+      return "timed out waiting for a live worker with " + std::to_string(left) +
+             " tasks outstanding";
+    return "";
+  }
+
+  std::string loop() {
     std::signal(SIGPIPE, SIG_IGN);
-    resume_scan();
+    Timer no_worker;
+    std::string fatal;
     for (;;) {
       maybe_start_jobs();
       serve_parked();
 
-      if (shutting_down && running_count() == 0) {
+      if (closed() && running_count() == 0) {
+        // Nothing left to run: every welcomed worker gets its one kDrain
+        // now — a computing one reads it with its next lease request.
         for (auto& p : peers) {
           if (p.kind != Peer::Kind::kWorker || p.fd < 0 || p.finished || p.draining) continue;
-          if (!p.parked) continue;  // computing workers get kDrain on next request
-          p.parked = false;
           try {
-            dispatch(p);  // done + shutting down -> sends kDrain
+            dispatch(p);
           } catch (...) {
             drop_peer(p);
           }
@@ -1486,31 +1681,40 @@ struct ServerImpl {
       // second must not grow the peer table without bound).
       peers.erase(std::remove_if(peers.begin(), peers.end(),
                                  [](const Peer& p) {
-                                   return p.fd < 0 && p.finished &&
-                                          p.kind != Peer::Kind::kWorker;
+                                   return p.fd < 0 && p.finished && p.worker_id < 0;
                                  }),
                   peers.end());
 
       // Stall quarantine: a silent worker has its leases revoked across
       // every running job; if it recovers, its late results drop cleanly.
+      // Marking it stalled is also what lets the dead-end check fire on a
+      // frozen fleet.
       const double stall = opt.stall_timeout_seconds;
       for (auto& p : peers) {
-        if (p.kind != Peer::Kind::kWorker || p.fd < 0 || p.finished) continue;
-        if (stall > 0 && !p.stalled && !p.parked && p.last_seen.seconds() > stall) {
+        if (p.fd < 0 || p.finished) continue;
+        if (stall > 0 && p.worker_id >= 0 && !p.stalled && !p.parked &&
+            p.last_seen.seconds() > stall) {
           p.stalled = true;
-          for (auto& [id, j] : jobs)
-            if (j.state == JobState::kRunning && j.ledger != nullptr)
-              j.ledger->revoke_worker(p.worker_id, /*lost=*/false);
+          revoke(p.worker_id, /*lost=*/false);
         }
+        if (p.draining && p.drain_since.seconds() > goodbye_timeout())
+          drop_peer(p);  // never said kDone; give up on its goodbye
+        else if (p.kind == Peer::Kind::kUnknown && p.last_seen.seconds() > goodbye_timeout())
+          drop_peer(p);  // connected but never completed a handshake
       }
+
+      fatal = dead_end(no_worker);
+      if (!fatal.empty()) break;
 
       observe_fleet();
       maybe_write_metrics();
 
       std::vector<pollfd> pfds;
-      std::vector<size_t> owner;
-      pfds.push_back({listen_fd, POLLIN, 0});
-      owner.push_back(size_t(-1));
+      std::vector<size_t> owner;  // pfds index -> peers index; listener = SIZE_MAX
+      if (listen_fd >= 0) {
+        pfds.push_back({listen_fd, POLLIN, 0});
+        owner.push_back(size_t(-1));
+      }
       for (size_t i = 0; i < peers.size(); ++i) {
         if (peers[i].fd < 0) continue;
         pfds.push_back({peers[i].fd, POLLIN, 0});
@@ -1520,11 +1724,11 @@ struct ServerImpl {
       for (size_t k = 0; k < pfds.size(); ++k) {
         if ((pfds[k].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
         if (owner[k] == size_t(-1)) {
-          accept_peer();
+          accept_peer();  // the listener polls first, so no peer ref is held yet
           continue;
         }
         Peer& p = peers[owner[k]];
-        if (p.fd < 0) continue;
+        if (p.fd < 0) continue;  // dropped earlier in this round
         try {
           Frame f;
           if (!read_frame(p.fd, &f)) {
@@ -1535,25 +1739,78 @@ struct ServerImpl {
           p.stalled = false;
           handle_frame(p, f);
         } catch (const std::exception& e) {
-          (void)e;
+          if (p.worker_id >= 0 && peer_errors.size() < 4096) {
+            if (!peer_errors.empty()) peer_errors += "; ";
+            peer_errors += "worker " + std::to_string(p.worker_id) + ": " + e.what();
+          }
           drop_peer(p);
         }
       }
     }
-    maybe_write_metrics(/*force=*/true);
-    for (auto& p : peers) {
-      if (p.fd >= 0) ::close(p.fd);
-      p.fd = -1;
-    }
+    maybe_write_metrics(/*force=*/true);  // terminal state for scrapers
+    for (auto& p : peers) close_fd(&p.fd);
+    if (!fatal.empty() && !peer_errors.empty()) fatal += " (" + peer_errors + ")";
     return fatal;
+  }
+
+  std::string serve() {
+    resume_scan();
+    return loop();
+  }
+
+  OneShotResult run_one(OneShotJob in) {
+    one_shot = true;
+    const uint64_t id = next_job_id++;
+    ServerJob& j = jobs[id];
+    j.id = id;
+    j.one_shot = true;
+    j.spec.name = "job-" + std::to_string(id);
+    j.base = std::move(in.job);
+    j.base.job_id = id;
+    j.spill_dir = std::move(in.spill_dir);
+    admit(j, in.total, in.run_id, in.resume);
+
+    OneShotResult out;
+    out.error = loop();
+    if (j.ledger != nullptr) fill_telemetry(j, &j.result);  // the loop gave up mid-run
+    if (out.error.empty()) out.error = j.result.error;
+    out.root = std::move(j.root);
+    out.tasks_run = j.result.tasks_run;
+    out.telemetry = std::move(j.result.telemetry);
+    // One record per worker that joined, even one that completed no lease.
+    auto& shards = out.telemetry.shards;
+    std::set<int> reported;
+    for (const auto& t : shards) reported.insert(t.shard);
+    for (const auto& p : peers) {
+      if (p.kind != Peer::Kind::kWorker || !reported.insert(p.worker_id).second) continue;
+      ShardTelemetry t;
+      t.shard = p.worker_id;
+      t.backend = p.backend;
+      shards.push_back(std::move(t));
+    }
+    std::sort(shards.begin(), shards.end(),
+              [](const ShardTelemetry& a, const ShardTelemetry& b) { return a.shard < b.shard; });
+    out.reduce_merges = j.merges;
+    for (const auto& t : shards) out.reduce_merges += t.reduce_merges;
+    return out;
   }
 };
 
-}  // namespace
-
-std::string JobServer::serve() {
-  ServerImpl impl(listen_fd_, opt_);
-  return impl.run();
+JobServer::JobServer(uint16_t port, ServerOptions opt) {
+  uint16_t bound = 0;
+  const int fd = listen_on(port, &bound);
+  impl_ = std::make_unique<Impl>(fd, bound, std::move(opt));
 }
+
+JobServer::JobServer(ServerOptions opt)
+    : impl_(std::make_unique<Impl>(-1, 0, std::move(opt))) {}
+
+JobServer::~JobServer() = default;
+
+uint16_t JobServer::port() const { return impl_->port; }
+const ServerOptions& JobServer::options() const { return impl_->opt; }
+void JobServer::add_worker(int fd, int worker_id) { impl_->add_worker(fd, worker_id); }
+std::string JobServer::serve() { return impl_->serve(); }
+OneShotResult JobServer::run_one(OneShotJob job) { return impl_->run_one(std::move(job)); }
 
 }  // namespace ltns::dist

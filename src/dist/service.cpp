@@ -1,127 +1,40 @@
 #include "dist/service.hpp"
 
-#include <algorithm>
 #include <csignal>
-#include <memory>
 #include <stdexcept>
 
 #include <unistd.h>
 
-#include "circuit/io.hpp"
-#include "core/planner.hpp"
-#include "dist/checkpoint.hpp"
-#include "dist/elastic.hpp"
-#include "dist/job.hpp"
-#include "dist/shard_merge.hpp"
-#include "util/timer.hpp"
-
-// The job/spec/result wire payloads, the deterministic prepare_job pipeline
-// and the socket helpers live in dist/job.hpp — shared with the multi-tenant
-// job server (dist/server.hpp) and its client (dist/client.hpp).
+#include "dist/worker.hpp"
 
 namespace ltns::dist {
 
-CoordinatorServer::CoordinatorServer(uint16_t port) { listen_fd_ = listen_on(port, &port_); }
-
-CoordinatorServer::~CoordinatorServer() { close_fd(&listen_fd_); }
-
-CoordinatorResult CoordinatorServer::run_amplitude(int num_workers, const circuit::Circuit& c,
-                                                   const std::vector<int>& bits,
-                                                   const ServiceOptions& opt) {
-  std::signal(SIGPIPE, SIG_IGN);
-  CoordinatorResult res;
-  Timer wall;
-  auto prep = prepare_job(c, bits, opt.target_log2size, core::PlanOptions{}.seed);
-  Prepared& p = *prep;
-  res.num_slices = p.plan.num_slices();
-  if (p.plan.num_slices() >= 57) {  // same bound run_sharded enforces
-    res.error = "too many sliced edges";
+CoordinatedAmplitude coordinate(JobServer& engine, const JobSpec& spec,
+                                const std::string& spill_dir, bool resume, bool trace) {
+  CoordinatedAmplitude res;
+  SpecPlan sp;
+  try {
+    sp = plan_spec(spec, engine.options());
+  } catch (const std::exception& e) {
+    res.run.error = std::string("planning failed: ") + e.what();
     return res;
   }
-  const uint64_t total = uint64_t(1) << p.plan.num_slices();
-
-  Job job;
-  job.circuit_text = circuit::circuit_to_string(c);
-  job.bits.reserve(bits.size());
-  for (int b : bits) job.bits.push_back(b != 0 ? '1' : '0');
-  job.target_log2size = opt.target_log2size;
-  job.plan_seed = core::PlanOptions{}.seed;
-  job.executor = uint32_t(opt.executor);
-  job.grain = opt.grain;
-  job.workers = opt.workers_per_process;
-  job.num_slices = int32_t(p.plan.num_slices());
-  job.fused = opt.fused ? 1 : 0;
-  job.ldm_elems = opt.ldm_elems;
-  job.backend = opt.backend.empty() ? "host" : opt.backend;
-  job.trace = opt.trace ? 1 : 0;
-
-  // The coordinator's poll loop owns the listener: workers join whenever
-  // they connect (even mid-run; `num_workers` is only the notional
-  // home-window count for the lease queue), status probes are answered
-  // in-line, and dead or stalled workers have their leases requeued
-  // instead of failing the run.
-  ElasticOptions eo;
-  eo.lease_size = opt.lease_size;
-  eo.heartbeat_seconds = opt.heartbeat_seconds;
-  eo.stall_timeout_seconds = opt.stall_timeout_seconds;
-  eo.accept_timeout_seconds = opt.accept_timeout_seconds;
-  ElasticCoordinator coord(total, std::max(1, num_workers), eo, [&job](int) { return job; });
-  if (!opt.metrics_out.empty() && opt.metrics_interval_seconds > 0)
-    coord.set_metrics_snapshot(opt.metrics_out, opt.metrics_interval_seconds);
-  coord.set_listener(listen_fd_);
-  ShardMerger merger(total);
-  // Durable run ledger: replay a crashed coordinator's journal into the
-  // fresh ledger + merger, then spill every completed range write-ahead.
-  std::unique_ptr<CheckpointWriter> journal;
-  if (!opt.spill_dir.empty()) {
-    try {
-      CheckpointMeta meta;
-      meta.total = total;
-      meta.home_workers = std::max(1, num_workers);
-      meta.lease_size = coord.ledger().lease_size();
-      // Canonical fingerprint over the job inputs + the resolved plan:
-      // matches what the Simulator writes for the same job, so a journal
-      // spilled by the fork driver can resume here and vice versa.
-      meta.run_id = run_fingerprint(job.circuit_text, job.bits, /*open_qubits=*/"", opt.fused,
-                                    opt.ldm_elems, p.plan.path, p.plan.slices.to_vector());
-      journal = open_or_resume_journal(opt.spill_dir, meta, opt.resume, opt.spill_fsync_seconds,
-                                       &coord.mutable_ledger(), &merger);
-      coord.set_journal(journal.get());
-    } catch (const std::exception& e) {
-      res.error = e.what();
-      res.rebalance = coord.ledger().stats();
-      res.wall_seconds = wall.seconds();
-      return res;
-    }
-  }
-  res.error = coord.run(&merger);
-  if (journal && res.error.empty()) {
-    // Clean finish: close the writer, then shrink the journal to its
-    // single-span form so an unconditional --resume replays one record.
-    coord.set_journal(nullptr);
-    journal.reset();
-    try {
-      compact_checkpoint(opt.spill_dir);
-    } catch (const std::exception&) {
-      // Compaction is an optimization; the full journal still resumes.
-    }
-  }
-  res.shards = coord.telemetry();
-  res.rebalance = coord.ledger().stats();
-  for (const auto& t : res.shards) res.tasks_run += t.tasks_run;
-  res.wall_seconds = wall.seconds();
-  if (!res.error.empty()) return res;
-  if (!merger.complete()) {
-    res.error = "reduction incomplete despite clean workers";
-    return res;
-  }
-  auto root = merger.take_root();
+  res.num_slices = sp.job.num_slices;
+  OneShotJob job;
+  job.total = sp.total;
+  job.job = std::move(sp.job);
+  job.job.trace = trace ? 1 : 0;
+  job.spill_dir = spill_dir;
+  job.run_id = sp.run_id;
+  job.resume = resume;
+  res.run = engine.run_one(std::move(job));
+  if (!res.run.error.empty()) return res;
+  const exec::Tensor& root = res.run.root;
   if (root.rank() != 0 || root.size() != 1) {
-    res.error = "amplitude job produced a non-scalar root";
+    res.run.error = "amplitude job produced a non-scalar root";
     return res;
   }
-  res.amplitude = std::complex<double>(root.data()[0]) * p.lowered.scalar;
-  res.completed = true;
+  res.amplitude = std::complex<double>(root.data()[0]) * sp.prepared->lowered.scalar;
   return res;
 }
 

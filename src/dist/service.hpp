@@ -1,112 +1,42 @@
-// TCP coordinator/worker service: the multi-host face of the lease driver.
+// TCP coordinator/worker service: the multi-host face of the coordinator
+// engine (dist/server.hpp).
 //
-// The fork-based exec::run_sharded() covers one host; this service runs the
-// same lease protocol (dist/elastic.hpp) over TCP so workers can live on
-// different nodes. The coordinator listens, welcomes each connecting worker
-// with a self-contained job (circuit text + plan options), leases it task
-// ranges, and finishes the tournament from the returned block partials —
-// the merge order and wire format are shared with the local driver, so the
-// accumulated amplitude is bitwise identical to a single-process run.
+// `ltns_cli coordinate` is a JobServer on a TCP port that runs one job and
+// exits: the circuit is planned exactly as `serve` plans a submitted amp
+// job (dist::plan_spec), the engine leases its task ranges to whichever
+// workers connect, and the merged root scales into the amplitude — the
+// merge order and wire format are shared with the local fork runner, so
+// the amplitude is bitwise identical to a single-process run.
 //
 // Each worker re-plans from the circuit text with the job's options; the
 // planner is deterministic, so every process derives the same contraction
-// tree and slice set (the coordinator cross-checks |S| and rejects
-// mismatches). Peers must run the same binary on the same architecture —
-// the wire format ships raw IEEE bit patterns (see wire.hpp).
+// tree and slice set (workers cross-check |S| and reject mismatches).
+// Peers must run the same binary on the same architecture — the wire
+// format ships raw IEEE bit patterns (see wire.hpp).
 #pragma once
 
 #include <complex>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "circuit/circuit.hpp"
-#include "dist/lease.hpp"
-#include "dist/wire.hpp"
-#include "exec/slice_runner.hpp"
+#include "dist/server.hpp"
 
 namespace ltns::dist {
 
-struct ServiceOptions {
-  double target_log2size = 16;  // planner slicing bound (must match CLI amp)
-  exec::SliceExecutor executor = exec::SliceExecutor::kWorkStealing;
-  uint64_t grain = 1;
-  int workers_per_process = 0;  // scheduler width per worker; 0 = hardware
-  // Fused (secondary-slicing) stem executor, as the Simulator defaults to —
-  // keeping it on makes a `coordinate` amplitude bitwise comparable to an
-  // `amp` run of the same circuit.
-  bool fused = true;
-  uint64_t ldm_elems = 32768;
-  // Bound on waiting with no live worker (none connected yet, or all
-  // dead); the run then fails instead of hanging. 0 = wait forever.
-  int accept_timeout_seconds = 300;
-  // Lease scheduling (dist/elastic.hpp): stragglers are stolen from, dead
-  // workers' leases are requeued, new workers may join mid-run, and a
-  // kStatusRequest probe (ltns_cli coordinate --status) gets live
-  // lease/heartbeat state.
-  uint64_t lease_size = 0;            // tasks per lease; 0 = auto
-  double heartbeat_seconds = 0.2;     // worker liveness period
-  double stall_timeout_seconds = 30;  // silent-with-leases -> revoke + requeue
-  // Durable run ledger (dist/checkpoint.hpp): journal
-  // completed ranges to `<spill_dir>/ledger.journal` and, with `resume`,
-  // replay a previous coordinator's journal so a restarted coordinator
-  // re-offers only unfinished ranges to (re)connecting workers — the
-  // amplitude stays bitwise identical to an uninterrupted run. The journal
-  // is fingerprinted with the job (circuit + bits + plan target); resuming
-  // a different job is refused. `coordinate --status` reports the spill
-  // health (journal size, last fsync age) while the run is live.
-  std::string spill_dir;
-  bool resume = false;
-  double spill_fsync_seconds = 0;  // <= 0 = fsync after every record
-  // Default device backend the job asks workers to run on; each worker may
-  // override it for its own hardware (`ltns_cli worker --backend=...`) —
-  // conforming backends are bitwise identical, so a mixed fleet still
-  // produces the byte-exact amplitude.
-  std::string backend = "host";
-  // Observability (src/obs): with `trace`, the job asks every worker to arm
-  // its event tracer and ship the recorded chunk back over kTrace at drain
-  // time, so the coordinator's --trace-out timeline carries one lane per
-  // remote process. `metrics_out`/`metrics_interval_seconds` plumb the
-  // coordinator's periodic live-metrics snapshot (see
-  // ElasticCoordinator::set_metrics_snapshot).
-  bool trace = false;
-  std::string metrics_out;
-  double metrics_interval_seconds = 0;
-};
-
-struct CoordinatorResult {
-  std::complex<double> amplitude{0, 0};
-  bool completed = false;
-  std::string error;
+struct CoordinatedAmplitude {
+  std::complex<double> amplitude{0, 0};  // valid when run.error is empty
   int num_slices = 0;
-  uint64_t tasks_run = 0;
-  double wall_seconds = 0;
-  std::vector<ShardTelemetry> shards;  // one record per worker
-  RebalanceStats rebalance;            // lease telemetry
+  OneShotResult run;
 };
 
-class CoordinatorServer {
- public:
-  // Binds and listens on `port` (0 picks an ephemeral port, readable via
-  // port()); throws std::runtime_error on failure.
-  explicit CoordinatorServer(uint16_t port);
-  ~CoordinatorServer();
-  CoordinatorServer(const CoordinatorServer&) = delete;
-  CoordinatorServer& operator=(const CoordinatorServer&) = delete;
-
-  uint16_t port() const { return port_; }
-
-  // Leases [0, 2^|S|) to whichever workers connect (`num_workers` home
-  // windows), merges their partials, and returns the amplitude
-  // <bits|C|0...0>. Blocks until every task is merged or no worker is left
-  // to finish the run.
-  CoordinatorResult run_amplitude(int num_workers, const circuit::Circuit& c,
-                                  const std::vector<int>& bits, const ServiceOptions& opt = {});
-
- private:
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-};
+// Plans `spec` with plan_spec under `engine`'s options and runs it as the
+// engine's one job: journaled to `spill_dir` when set (replaying it first
+// with `resume`), and with `trace` asking every worker to ship its event
+// chunk back at drain. The journal fingerprint matches what a solo run or
+// the fork runner writes for the same job, so either can resume the other.
+CoordinatedAmplitude coordinate(JobServer& engine, const JobSpec& spec,
+                                const std::string& spill_dir = "", bool resume = false,
+                                bool trace = false);
 
 // Connects to a coordinator or a job server and runs the worker loop
 // (dist::serve_leases) until drained; returns 0 on success (non-zero on any
@@ -115,9 +45,9 @@ class CoordinatorServer {
 int serve_worker(const std::string& host, uint16_t port,
                  const std::string& backend_override = "");
 
-// Status probe: connects to a running coordinator and returns
-// its live lease/heartbeat state as a JSON string (`ltns_cli coordinate
-// --status`). Throws std::runtime_error when nothing answers.
+// Status probe: connects to a running coordinator or job server and
+// returns its live status JSON (`ltns_cli coordinate --status`). Throws
+// std::runtime_error when nothing answers.
 std::string query_status(const std::string& host, uint16_t port);
 
 }  // namespace ltns::dist

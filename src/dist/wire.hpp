@@ -79,7 +79,7 @@ inline uint8_t host_endian() {
   return low == 1 ? kWireEndianLittle : kWireEndianBig;
 }
 
-// The lease protocol (see dist/elastic.hpp): workers lease bounded task
+// The lease protocol (see dist/worker.hpp): workers lease bounded task
 // ranges and ship tournament-aligned block partials per lease. Values 3, 4
 // and 8 belonged to frames removed in v8.
 enum class FrameType : uint8_t {

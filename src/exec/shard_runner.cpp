@@ -1,8 +1,8 @@
 #include "exec/shard_runner.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
-#include <stdexcept>
 #include <thread>
 
 #include <sys/socket.h>
@@ -10,9 +10,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "dist/checkpoint.hpp"
-#include "dist/elastic.hpp"
-#include "dist/shard_merge.hpp"
+#include "device/backend.hpp"
+#include "dist/server.hpp"
+#include "dist/worker.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 
@@ -26,31 +26,26 @@ int workers_for(const ShardRunOptions& opt) {
   return std::max(1, hw / std::max(1, opt.processes));
 }
 
-std::string backend_name_for(const ShardRunOptions& opt, int shard_id) {
-  if (!opt.backends.empty()) return opt.backends[size_t(shard_id) % opt.backends.size()];
-  return opt.backend.empty() ? "host" : opt.backend;
+// The backend a shard's worker overrides the job's default with ("" =
+// none): per-shard names only exist for heterogeneous fleets.
+std::string backend_override_for(const ShardRunOptions& opt, int shard_id) {
+  if (opt.backends.empty()) return "";
+  return opt.backends[size_t(shard_id) % opt.backends.size()];
 }
 
 // Worker process body: run the one worker loop over the inherited,
 // already-planned contraction, then exit. Never returns; exit code 0 =
 // clean drain, 1 = reported error frame.
-[[noreturn]] void worker_main(int fd, int shard_id, const tn::ContractionTree& tree,
-                              const LeafProvider& leaves, const core::SliceSet& slices,
-                              const FusedPlan* fused) {
+[[noreturn]] void worker_main(int fd, int shard_id, const std::string& backend_override,
+                              const dist::InheritedPlan& plan) {
   // The fork inherited the parent's armed tracer, ring buffers and all:
   // drop the parent's events and re-home this process under its own rank so
   // the merged timeline renders one lane per shard.
   if (obs::Tracer::instance().enabled()) obs::Tracer::instance().reset_after_fork(shard_id);
-  const dist::InheritedPlan plan{&tree, leaves, &slices, fused};
-  const int rc = dist::serve_leases(fd, /*backend_override=*/"", &plan);
+  const int rc = dist::serve_leases(fd, backend_override, &plan);
   ::close(fd);
   std::_Exit(rc);
 }
-
-struct Child {
-  pid_t pid = -1;
-  int fd = -1;
-};
 
 void append_error(std::string* error, const std::string& msg) {
   if (!error->empty()) *error += "; ";
@@ -67,11 +62,27 @@ ShardRunResult run_sharded(const tn::ContractionTree& tree, const LeafProvider& 
     res.error = "too many sliced edges";
     return res;
   }
-  const uint64_t total = uint64_t(1) << sliced.size();
   const int processes = std::max(1, opt.processes);
+  const std::string backend = opt.backend.empty() ? "host" : opt.backend;
+
+  dist::ServerOptions so;
+  so.home_workers = processes;
+  so.lease_size = opt.lease_size;
+  so.heartbeat_seconds = opt.heartbeat_seconds;
+  so.stall_timeout_seconds = opt.stall_timeout_seconds;
+  // Fork mode has no listener, so nobody can rejoin — but a fleet where
+  // every worker is stalled (wedged, not dead) must still end in an error
+  // rather than a hang, and this timeout is what bounds that wait.
+  so.accept_timeout_seconds = std::max(60, int(opt.stall_timeout_seconds * 2));
+  so.fsync_seconds = opt.spill_fsync_seconds;
+  so.metrics_out = opt.metrics_out;
+  so.metrics_interval_seconds = opt.metrics_interval_seconds;
+  auto engine = std::make_unique<dist::JobServer>(so);
 
   Timer wall;
-  std::vector<Child> kids(size_t(processes), Child{});
+  const dist::InheritedPlan plan{&tree, leaves, &slices, opt.fused};
+  std::vector<int> engine_fds;
+  std::vector<pid_t> pids;
   for (int p = 0; p < processes; ++p) {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
@@ -87,126 +98,61 @@ ShardRunResult run_sharded(const tn::ContractionTree& tree, const LeafProvider& 
     }
     if (pid == 0) {
       // Child: drop every inherited coordinator-side descriptor.
-      for (const auto& k : kids)
-        if (k.fd >= 0) ::close(k.fd);
+      for (int fd : engine_fds) ::close(fd);
       ::close(sv[0]);
       if (opt.fault_shard == p) std::_Exit(17);  // test hook: die unreported
-      worker_main(sv[1], p, tree, leaves, slices, opt.fused);
+      worker_main(sv[1], p, backend_override_for(opt, p), plan);
     }
     ::close(sv[1]);
-    kids[size_t(p)] = {pid, sv[0]};
+    engine->add_worker(sv[0], p);  // the engine owns it now
+    engine_fds.push_back(sv[0]);
+    pids.push_back(pid);
   }
 
-  // One poll loop leases bounded ranges to whichever worker is idle,
-  // revokes and requeues on death or stall, and keeps the tournament
-  // bookkeeping range-granular — losing a worker costs a lease of
-  // recomputation, not the run.
-  dist::ElasticOptions eo;
-  eo.lease_size = opt.lease_size;
-  eo.heartbeat_seconds = opt.heartbeat_seconds;
-  eo.stall_timeout_seconds = opt.stall_timeout_seconds;
-  // Fork mode has no listener, so nobody can rejoin — but a fleet where
-  // every worker is stalled (wedged, not dead) must still end in an error
-  // rather than a hang, and this timeout is what bounds that wait.
-  eo.accept_timeout_seconds = std::max(60, int(opt.stall_timeout_seconds * 2));
-  // The job every worker is welcomed with: execution knobs only — the plan
-  // itself crossed the fork.
-  const bool traced = obs::Tracer::instance().enabled();
-  dist::ElasticCoordinator coord(total, processes, eo, [&](int worker_id) {
-    dist::Job job;
-    job.executor = uint32_t(opt.executor);
-    job.grain = opt.grain;
-    job.workers = workers_for(opt);
-    job.num_slices = int32_t(sliced.size());
-    job.backend = backend_name_for(opt, worker_id);
-    job.trace = traced ? 1 : 0;
-    return job;
-  });
-  if (!opt.metrics_out.empty() && opt.metrics_interval_seconds > 0)
-    coord.set_metrics_snapshot(opt.metrics_out, opt.metrics_interval_seconds);
-  dist::ShardMerger merger(total);
-  // Durable run ledger: replay an existing journal into the fresh ledger +
-  // merger (resume), then open the write-ahead journal the coordinator
-  // spills every completed range into.
-  std::unique_ptr<dist::CheckpointWriter> journal;
-  if (!opt.spill_dir.empty()) {
-    try {
-      dist::CheckpointMeta meta;
-      meta.total = total;
-      meta.home_workers = processes;
-      meta.lease_size = coord.ledger().lease_size();
-      meta.run_id = opt.spill_run_id;
-      journal = dist::open_or_resume_journal(opt.spill_dir, meta, opt.resume,
-                                             opt.spill_fsync_seconds, &coord.mutable_ledger(),
-                                             &merger);
-      coord.set_journal(journal.get());
-    } catch (const std::exception& e) {
-      // A coordinator that cannot spill must fail the run rather than
-      // silently drop its durability guarantee.
-      append_error(&res.error, e.what());
-    }
-  }
-  for (int p = 0; p < processes; ++p) {
-    if (kids[size_t(p)].fd < 0) continue;
-    if (res.error.empty()) {
-      coord.add_worker(kids[size_t(p)].fd, p);  // the coordinator owns it now
-    } else {
-      ::close(kids[size_t(p)].fd);  // EOFs the forked worker so waitpid reaps it
-    }
-    kids[size_t(p)].fd = -1;
-  }
+  dist::OneShotResult run;
   if (res.error.empty()) {
-    auto err = coord.run(&merger);
-    if (!err.empty()) append_error(&res.error, err);
+    // The job every worker runs: execution knobs only — the plan itself
+    // crossed the fork.
+    dist::OneShotJob job;
+    job.total = uint64_t(1) << sliced.size();
+    job.job.executor = uint32_t(opt.executor);
+    job.job.grain = opt.grain;
+    job.job.workers = workers_for(opt);
+    job.job.num_slices = int32_t(sliced.size());
+    job.job.backend = backend;
+    job.job.trace = obs::Tracer::instance().enabled() ? 1 : 0;
+    job.spill_dir = opt.spill_dir;
+    job.run_id = opt.spill_run_id;
+    job.resume = opt.resume;
+    run = engine->run_one(std::move(job));
+    res.error = run.error;
   }
-  // Every process gets a record, named by the backend its job asked for —
-  // even one that completed no lease before the queue drained.
+  // Closing the engine's ends EOFs any worker still waiting, so the reap
+  // below cannot hang. Worker deaths are absorbed by design (the requeue is
+  // the feature under test in the chaos job): an abnormal exit only matters
+  // through the run error the engine already reported.
+  engine.reset();
+  for (pid_t pid : pids) ::waitpid(pid, nullptr, 0);
+
+  // Every process gets a record, named by the backend it was asked to run
+  // — even one that completed no lease before the queue drained.
   res.shards.assign(size_t(processes), {});
   for (int p = 0; p < processes; ++p) {
     res.shards[size_t(p)].shard = p;
-    res.shards[size_t(p)].backend = backend_name_for(opt, p);
+    res.shards[size_t(p)].backend =
+        device::merge_backend_override(backend, backend_override_for(opt, p));
   }
-  for (const auto& t : coord.telemetry())
+  for (auto& t : run.telemetry.shards)
     if (t.shard >= 0 && t.shard < processes && t.leases > 0) res.shards[size_t(t.shard)] = t;
-  res.rebalance = coord.ledger().stats();
-  if (journal && res.error.empty()) {
-    // Clean finish: close the writer, then shrink the journal to its
-    // single-span form — a crash-loop supervisor's unconditional --resume
-    // replays one record instead of re-parsing every lease ever spilled.
-    coord.set_journal(nullptr);
-    journal.reset();
-    try {
-      dist::compact_checkpoint(opt.spill_dir);
-    } catch (const std::exception&) {
-      // Compaction is an optimization; the full journal still resumes.
-    }
-  }
-
-  // Worker deaths are absorbed by design (the requeue is the feature under
-  // test in the chaos job): an abnormal exit only matters through the run
-  // error the coordinator already reported.
-  for (const auto& kid : kids)
-    if (kid.pid >= 0) ::waitpid(kid.pid, nullptr, 0);
-
-  auto agg = dist::aggregate_telemetry(res.shards);
-  res.tasks_run += agg.tasks_run;
-  res.reduce_merges += agg.reduce_merges;
-  res.stats.merge(agg.stats);
-  res.memory.merge(agg.memory);
-  res.executor_stats.merge(agg.executor);
-  // Surface the lease telemetry through the aggregated snapshot, so the
-  // rebalance counters ride every existing telemetry path (API + CLI).
-  res.executor_stats.ranges_stolen += res.rebalance.ranges_stolen;
-  res.executor_stats.ranges_reissued += res.rebalance.ranges_reissued;
-  res.executor_stats.straggler_wait_seconds += res.rebalance.straggler_wait_seconds;
+  res.tasks_run = run.tasks_run;
+  res.reduce_merges = run.reduce_merges;
+  res.stats = run.telemetry.stats;
+  res.executor_stats = run.telemetry.runtime_stats;
+  res.memory = run.telemetry.memory;
+  res.rebalance = run.telemetry.rebalance;
   res.wall_seconds = wall.seconds();
   if (!res.error.empty()) return res;
-  if (!merger.complete()) {
-    res.error = "reduction incomplete despite clean workers";
-    return res;
-  }
-  res.reduce_merges += merger.merges();
-  res.accumulated = merger.take_root();
+  res.accumulated = std::move(run.root);
   res.completed = true;
   return res;
 }

@@ -1,12 +1,13 @@
 // Multi-process shard runner: run_sharded(), alongside run_sliced().
 //
-// Forks one worker process per shard over a socketpair and runs the lease
-// protocol (dist/elastic.hpp) across them: workers lease bounded ranges of
-// the 2^|S| slicing subtasks from a coordinator-owned queue (home windows
-// first, then steals), and the partial tensors they ship back merge in
-// fixed tournament order (dist::ShardMerger) — the process-level layer of
-// the paper's headline runs, where nodes each take a task range and the
-// program ends in a single allReduce. A straggler's untouched ranges are
+// Forks one worker process per shard over a socketpair and runs them as
+// the fleet of a listener-less coordinator engine (dist::JobServer) with
+// one job: workers lease bounded ranges of the 2^|S| slicing subtasks from
+// a coordinator-owned queue (home windows first, then steals) through the
+// lease protocol (dist/worker.hpp), and the partial tensors they ship back
+// merge in fixed tournament order (dist::ShardMerger) — the process-level
+// layer of the paper's headline runs, where nodes each take a task range
+// and the program ends in a single allReduce. A straggler's untouched ranges are
 // stolen by idle peers and a dead worker's leases are revoked and
 // re-issued, so the run survives losing processes. Forked workers run the
 // plan they inherited across the fork; they never replan.

@@ -32,7 +32,6 @@
 #include "circuit/io.hpp"
 #include "core/greedy_slicer.hpp"
 #include "dist/checkpoint.hpp"
-#include "dist/elastic.hpp"
 #include "dist/lease.hpp"
 #include "dist/service.hpp"
 #include "dist/shard_merge.hpp"
@@ -869,20 +868,69 @@ TEST(Checkpoint, CompactionCoalescesCompletedRunToOneSpan) {
   EXPECT_EQ(std::memcmp(expect.raw(), got.raw(), sizeof(exec::cfloat)), 0);
 }
 
-// Satellite: `coordinate --status` reports spill-dir health once
-// checkpointing is on — journal size and fsync age ride the JSON.
-TEST(Checkpoint, StatusJsonReportsSpillHealth) {
-  ScopedTempDir dir;
-  ElasticOptions eo;
-  ElasticCoordinator coord(16, 2, eo, [](int) { return Job{}; });
-  {
-    const auto before = coord.status_json();
-    EXPECT_EQ(before.find("\"spill\""), std::string::npos) << before;
+// --- `coordinate` runs on the coordinator engine --------------------------
+
+// Engine options for a test `coordinate` run: `home` home windows and
+// single-threaded workers.
+ServerOptions coordinate_options(int home, int accept_timeout_seconds = 60) {
+  ServerOptions so;
+  so.home_workers = home;
+  so.workers_per_process = 1;
+  so.accept_timeout_seconds = accept_timeout_seconds;
+  return so;
+}
+
+JobSpec amp_spec(const circuit::Circuit& c, const std::vector<int>& bits, double target) {
+  JobSpec s;
+  s.circuit_text = circuit::circuit_to_string(c);
+  for (int b : bits) s.bits += b != 0 ? '1' : '0';
+  s.target_log2size = target;
+  return s;
+}
+
+// The engine's status JSON, retried until the listener answers.
+std::string probe_status(uint16_t port) {
+  std::string json;
+  for (int attempt = 0; attempt < 100 && json.empty(); ++attempt) {
+    try {
+      json = query_status("127.0.0.1", port);
+    } catch (const std::exception&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
   }
-  CheckpointMeta meta{16, 2, coord.ledger().lease_size(), "status"};
-  CheckpointWriter w(dir.path, meta, 0);
-  coord.set_journal(&w);
-  const auto json = coord.status_json();
+  return json;
+}
+
+// Starts a worker-less `coordinate` run, probes its status, then lets a
+// late-joining worker finish the job. Returns the probe's JSON.
+std::string probe_then_join(const circuit::Circuit& circ, const std::string& spill_dir,
+                            CoordinatedAmplitude* res) {
+  JobServer engine(0, coordinate_options(1));
+  const uint16_t port = engine.port();
+  std::thread coord([&] {
+    *res = coordinate(engine, amp_spec(circ, test::zero_bits(circ.num_qubits), 8), spill_dir);
+  });
+  const std::string json = probe_status(port);
+  std::thread worker([port] { serve_worker("127.0.0.1", port); });
+  worker.join();
+  coord.join();
+  return json;
+}
+
+// Satellite: `coordinate --status` reports spill-dir health once
+// checkpointing is on — journal size and fsync age ride the job's entry.
+TEST(Checkpoint, StatusJsonReportsSpillHealth) {
+  auto circ = test::small_rqc(3, 3, 4);
+  ScopedTempDir dir;
+  CoordinatedAmplitude res;
+  {
+    const auto before = probe_then_join(circ, "", &res);
+    ASSERT_FALSE(before.empty());
+    EXPECT_EQ(before.find("\"spill\""), std::string::npos) << before;
+    EXPECT_TRUE(res.run.error.empty()) << res.run.error;
+  }
+  const auto json = probe_then_join(circ, dir.path, &res);
+  EXPECT_TRUE(res.run.error.empty()) << res.run.error;
   EXPECT_NE(json.find("\"spill\":{"), std::string::npos) << json;
   EXPECT_NE(json.find("\"journal_bytes\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"last_fsync_age_seconds\""), std::string::npos) << json;
@@ -1355,32 +1403,30 @@ TEST(Service, CoordinatorAndWorkersMatchSimulatorBitwise) {
   auto expect = sim.amplitude(bits);
   ASSERT_TRUE(expect.completed);
 
-  CoordinatorServer server{0};  // ephemeral port
-  ASSERT_GT(server.port(), 0);
+  JobServer engine(0, coordinate_options(2));  // ephemeral port
+  ASSERT_GT(engine.port(), 0);
   std::vector<std::thread> workers;
   std::atomic<int> worker_rc{0};
   for (int i = 0; i < 2; ++i)
-    workers.emplace_back([&server, &worker_rc] {
-      worker_rc += serve_worker("127.0.0.1", server.port());
+    workers.emplace_back([&engine, &worker_rc] {
+      worker_rc += serve_worker("127.0.0.1", engine.port());
     });
-  ServiceOptions so;
-  so.target_log2size = 10;
-  so.workers_per_process = 1;
-  auto res = server.run_amplitude(2, circ, bits, so);
+  auto res = coordinate(engine, amp_spec(circ, bits, 10));
   for (auto& w : workers) w.join();
 
-  ASSERT_TRUE(res.completed) << res.error;
+  ASSERT_TRUE(res.run.error.empty()) << res.run.error;
   EXPECT_EQ(worker_rc.load(), 0);
   // Same plan, same fused executor, tournament merge: bit-identical result.
   EXPECT_EQ(res.amplitude.real(), expect.amplitude.real());
   EXPECT_EQ(res.amplitude.imag(), expect.amplitude.imag());
   EXPECT_EQ(res.num_slices, expect.num_slices);
-  EXPECT_GT(res.rebalance.leases_completed, 0u);
-  EXPECT_EQ(res.rebalance.workers_lost, 0u);
-  ASSERT_EQ(res.shards.size(), 2u);
+  const auto& tel = res.run.telemetry;
+  EXPECT_GT(tel.rebalance.leases_completed, 0u);
+  EXPECT_EQ(tel.rebalance.workers_lost, 0u);
+  ASSERT_EQ(tel.shards.size(), 2u);
   uint64_t tasks = 0;
-  for (const auto& s : res.shards) tasks += s.tasks_run;
-  EXPECT_EQ(tasks, res.tasks_run);
+  for (const auto& s : tel.shards) tasks += s.tasks_run;
+  EXPECT_EQ(tasks, res.run.tasks_run);
 }
 
 // A killed TCP worker must not fail the run: its leases requeue to
@@ -1397,8 +1443,10 @@ TEST(Service, SurvivesKilledTcpWorker) {
   auto expect = sim.amplitude(bits);
   ASSERT_TRUE(expect.completed);
 
-  CoordinatorServer server{0};
-  const uint16_t port = server.port();
+  ServerOptions so = coordinate_options(2);
+  so.lease_size = 1;
+  JobServer engine(0, so);
+  const uint16_t port = engine.port();
   pid_t doomed = ::fork();
   ASSERT_GE(doomed, 0);
   if (doomed == 0) {
@@ -1410,12 +1458,8 @@ TEST(Service, SurvivesKilledTcpWorker) {
     std::_Exit(0);  // unreachable when the kill fires; harmless otherwise
   }
 
-  ServiceOptions so;
-  so.target_log2size = 10;
-  so.workers_per_process = 1;
-  so.lease_size = 1;
-  CoordinatorResult res;
-  std::thread coord([&] { res = server.run_amplitude(2, circ, bits, so); });
+  CoordinatedAmplitude res;
+  std::thread coord([&] { res = coordinate(engine, amp_spec(circ, bits, 10)); });
 
   // Deterministic sequencing: wait for the SIGKILL to actually land before
   // the survivor joins, so the doomed worker always held a lease first
@@ -1427,10 +1471,10 @@ TEST(Service, SurvivesKilledTcpWorker) {
   survivor.join();
   coord.join();
 
-  ASSERT_TRUE(res.completed) << res.error;
+  ASSERT_TRUE(res.run.error.empty()) << res.run.error;
   EXPECT_EQ(res.amplitude.real(), expect.amplitude.real());
   EXPECT_EQ(res.amplitude.imag(), expect.amplitude.imag());
-  EXPECT_GE(res.rebalance.workers_lost, 1u);
+  EXPECT_GE(res.run.telemetry.rebalance.workers_lost, 1u);
 }
 
 // The status probe answers mid-run with live ledger state, and a worker
@@ -1445,34 +1489,16 @@ TEST(Service, StatusProbeAndLateJoiningWorker) {
   api::Simulator sim(circ, sopt);
   auto expect = sim.amplitude(bits);
 
-  CoordinatorServer server{0};
-  const uint16_t port = server.port();
-  ServiceOptions so;
-  so.target_log2size = 8;
-  so.workers_per_process = 1;
-  so.accept_timeout_seconds = 60;
-  CoordinatorResult res;
-  std::thread coord([&] { res = server.run_amplitude(1, circ, bits, so); });
-
   // Probe while no worker has joined: the ledger is untouched.
-  std::string json;
-  for (int attempt = 0; attempt < 100 && json.empty(); ++attempt) {
-    try {
-      json = query_status("127.0.0.1", port);
-    } catch (const std::exception&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
+  CoordinatedAmplitude res;
+  const std::string json = probe_then_join(circ, "", &res);
   ASSERT_FALSE(json.empty());
   EXPECT_NE(json.find("\"tasks_done\":0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"active_leases\":[]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"active_leases\":0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"rebalance\""), std::string::npos) << json;
 
-  // Now the (late) worker joins and the run completes bitwise identical.
-  std::thread worker([port] { serve_worker("127.0.0.1", port); });
-  worker.join();
-  coord.join();
-  ASSERT_TRUE(res.completed) << res.error;
+  // The (late) worker joined and the run completed bitwise identical.
+  ASSERT_TRUE(res.run.error.empty()) << res.run.error;
   EXPECT_EQ(res.amplitude.real(), expect.amplitude.real());
   EXPECT_EQ(res.amplitude.imag(), expect.amplitude.imag());
 }
@@ -1487,62 +1513,57 @@ TEST(Service, CoordinatorResumesFromSpillJournal) {
   auto bits = test::zero_bits(circ.num_qubits);
   ScopedTempDir dir;
 
-  ServiceOptions so;
-  so.target_log2size = 8;
-  so.workers_per_process = 1;
+  ServerOptions so = coordinate_options(1);
   so.lease_size = 1;
-  so.spill_dir = dir.path;
-  CoordinatorResult first;
+  const JobSpec spec = amp_spec(circ, bits, 8);
+  CoordinatedAmplitude first;
   {
-    CoordinatorServer server{0};
-    const uint16_t port = server.port();
+    JobServer engine(0, so);
+    const uint16_t port = engine.port();
     std::thread worker([port] { serve_worker("127.0.0.1", port); });
-    first = server.run_amplitude(1, circ, bits, so);
+    first = coordinate(engine, spec, dir.path);
     worker.join();
   }
-  ASSERT_TRUE(first.completed) << first.error;
+  ASSERT_TRUE(first.run.error.empty()) << first.run.error;
   EXPECT_GT(scan_checkpoint(dir.path).ranges, 0u);
 
-  // "Restarted" coordinator: fresh server object, --resume. The journal
-  // covers the whole run, so it reproduces the amplitude WITHOUT any
-  // worker ever connecting — the strongest form of "only unfinished
-  // ranges are re-offered".
-  so.resume = true;
-  CoordinatorResult second;
+  // "Restarted" coordinator: fresh engine, --resume. The journal covers
+  // the whole run, so it reproduces the amplitude WITHOUT any worker ever
+  // connecting — the strongest form of "only unfinished ranges are
+  // re-offered".
+  CoordinatedAmplitude second;
   {
-    CoordinatorServer server{0};
-    second = server.run_amplitude(1, circ, bits, so);
+    JobServer engine(0, so);
+    second = coordinate(engine, spec, dir.path, /*resume=*/true);
   }
-  ASSERT_TRUE(second.completed) << second.error;
+  ASSERT_TRUE(second.run.error.empty()) << second.run.error;
   EXPECT_EQ(second.amplitude.real(), first.amplitude.real());
   EXPECT_EQ(second.amplitude.imag(), first.amplitude.imag());
-  EXPECT_EQ(second.tasks_run, 0u);  // everything came from the journal
-  EXPECT_GT(second.rebalance.tasks_replayed, 0u);
+  EXPECT_EQ(second.run.tasks_run, 0u);  // everything came from the journal
+  EXPECT_GT(second.run.telemetry.rebalance.tasks_replayed, 0u);
 
   // A journal from a DIFFERENT job is refused: same spill dir, different
   // bitstring -> different fingerprint -> clean error, no foreign merge.
   auto other_bits = bits;
   other_bits[0] = 1;
-  CoordinatorResult refused;
+  CoordinatedAmplitude refused;
   {
-    CoordinatorServer server{0};
-    refused = server.run_amplitude(1, circ, other_bits, so);
+    JobServer engine(0, so);
+    refused = coordinate(engine, amp_spec(circ, other_bits, 8), dir.path, /*resume=*/true);
   }
-  EXPECT_FALSE(refused.completed);
+  EXPECT_FALSE(refused.run.error.empty());
   // Either rejection path (job fingerprint, or a plan whose tiling moved)
   // is the checkpoint layer refusing the foreign journal.
-  EXPECT_NE(refused.error.find("dist checkpoint"), std::string::npos) << refused.error;
+  EXPECT_NE(refused.run.error.find("dist checkpoint"), std::string::npos) << refused.run.error;
 }
 
 TEST(Service, MissingWorkerTimesOutInsteadOfHanging) {
   auto circ = test::small_rqc(3, 3, 4);
   auto bits = test::zero_bits(circ.num_qubits);
-  CoordinatorServer server{0};
-  ServiceOptions so;
-  so.accept_timeout_seconds = 1;  // nobody will connect
-  auto res = server.run_amplitude(1, circ, bits, so);
-  EXPECT_FALSE(res.completed);
-  EXPECT_NE(res.error.find("timed out"), std::string::npos) << res.error;
+  JobServer engine(0, coordinate_options(1, /*accept_timeout_seconds=*/1));  // nobody connects
+  auto res = coordinate(engine, amp_spec(circ, bits, 16));
+  EXPECT_FALSE(res.run.error.empty());
+  EXPECT_NE(res.run.error.find("timed out"), std::string::npos) << res.run.error;
 }
 
 // --- the worker loop's trace rule -----------------------------------------

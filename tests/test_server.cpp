@@ -13,9 +13,16 @@
 //      (and is idempotent-safe on terminal ones), a submit past max_queued
 //      is rejected with a reason, unknown job ids error instead of hanging;
 //   5. a forged frame header on the unauthenticated port costs only its
-//      own connection: the server keeps answering.
+//      own connection: the server keeps answering;
+//   6. the engine rules every coordinator shares: heartbeats off means no
+//      stall revocation (no livelock on long leases), shutdown never
+//      waits forever on a silent worker, and parked worker time is the
+//      job's straggler wait.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -365,6 +372,102 @@ TEST_F(ServerE2E, ForgedHugeFrameHeaderDoesNotTakeTheServerDown) {
 
   auto status = job_status_json("127.0.0.1", port_, 0);
   EXPECT_NE(status.find("\"service\":\"ltns-jobserver\""), std::string::npos) << status;
+  finish();
+}
+
+// Scoped env setter for the chaos hooks; the in-process fleet threads read
+// it when they are welcomed.
+struct ScopedEnv {
+  std::string key;
+  ScopedEnv(const std::string& k, const std::string& v) : key(k) {
+    ::setenv(k.c_str(), v.c_str(), 1);
+  }
+  ~ScopedEnv() { ::unsetenv(key.c_str()); }
+};
+
+// With heartbeats off nothing tells a slow worker from a silent one, so
+// the stall timeout must not revoke: every lease here outlasts it, and a
+// revoke would re-issue the range forever.
+TEST_F(ServerE2E, HeartbeatsOffNeverRevokeALongLease) {
+  auto c = test::small_rqc(3, 3, 6, 21);
+  const std::string bits = "000000000";
+  const int ns = prepare_job(c, test::zero_bits(c.num_qubits), 4, core::PlanOptions{}.seed)
+                     ->plan.num_slices();
+  const uint64_t tasks = uint64_t(1) << ns;
+  // One lease holding every task, slept through for 1.2 s.
+  ScopedEnv sleeper("LTNS_CHAOS_SLEEP_SHARD", "any");
+  ScopedEnv sleep_ms("LTNS_CHAOS_SLEEP_MS", std::to_string(1200.0 / double(tasks)));
+  ServerOptions so;
+  so.heartbeat_seconds = 0;
+  so.stall_timeout_seconds = 0.5;
+  so.home_workers = 1;
+  so.lease_size = tasks;
+  start(so, 1);
+
+  auto r = submit_job("127.0.0.1", port_, spec_for(c, bits, "t", 1));
+  ASSERT_TRUE(r.ok) << r.message;
+  auto fetched = std::async(std::launch::async, [this, id = r.job_id] {
+    return fetch_result("127.0.0.1", port_, id, /*wait=*/true);
+  });
+  const bool finished = fetched.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  if (!finished) cancel_job("127.0.0.1", port_, r.job_id);  // releases the waiter
+  const auto rec = fetched.get();
+  EXPECT_TRUE(finished) << "the job livelocked on stall revokes";
+  EXPECT_EQ(rec.state, JobState::kDone) << rec.error;
+  EXPECT_EQ(rec.telemetry.rebalance.ranges_reissued, 0u);
+  finish();
+}
+
+// After kShutdown the engine drains EVERY welcomed worker and bounds the
+// goodbye wait: a worker that said hello and then went silent cannot keep
+// serve() from returning.
+TEST_F(ServerE2E, ShutdownDoesNotWaitOnASilentWorker) {
+  ServerOptions so;
+  so.stall_timeout_seconds = 1;
+  start(so, 0);
+  const int fd = connect_to("127.0.0.1", port_, 10);
+  ASSERT_GE(fd, 0);
+  write_frame(fd, FrameType::kHello, nullptr, 0);
+  Frame f;
+  ASSERT_TRUE(read_frame(fd, &f));
+  ASSERT_EQ(f.type, FrameType::kWelcome);
+
+  auto rep = shutdown_server("127.0.0.1", port_);
+  EXPECT_TRUE(rep.ok) << rep.message;
+  auto joined = std::async(std::launch::async, [this] { server_thread_.join(); });
+  const bool returned = joined.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  ::close(fd);  // had serve() not returned, this EOF is what releases it
+  joined.get();
+  EXPECT_TRUE(returned) << "serve() kept waiting on a worker that never said goodbye";
+  EXPECT_EQ(serve_err_, "");
+}
+
+// Time a worker spends parked on an empty queue is the job's straggler
+// wait: one lease covers the whole job, so the second worker parks until
+// it finishes.
+TEST_F(ServerE2E, ParkedWorkerTimeIsStragglerWait) {
+  ScopedEnv sleeper("LTNS_CHAOS_SLEEP_SHARD", "any");
+  ScopedEnv sleep_ms("LTNS_CHAOS_SLEEP_MS", "20");
+  ServerOptions so;
+  so.home_workers = 1;
+  so.lease_size = uint64_t(1) << 40;
+  start(so, 2);
+  // Submit only once both workers are welcomed (and so asking for leases).
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    const auto s = job_status_json("127.0.0.1", port_, 0);
+    size_t alive = 0;
+    for (size_t p = 0; (p = s.find("\"alive\":true", p)) != std::string::npos; ++p) ++alive;
+    if (alive >= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  auto c = test::small_rqc(3, 3, 6, 22);
+  auto r = submit_job("127.0.0.1", port_, spec_for(c, "000000000", "t", 1));
+  ASSERT_TRUE(r.ok) << r.message;
+  auto rec = fetch_result("127.0.0.1", port_, r.job_id, /*wait=*/true);
+  ASSERT_EQ(rec.state, JobState::kDone) << rec.error;
+  EXPECT_EQ(rec.telemetry.rebalance.leases_issued, 1u);
+  EXPECT_GT(rec.telemetry.rebalance.straggler_wait_seconds, 0.0);
   finish();
 }
 
