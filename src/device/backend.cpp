@@ -50,63 +50,74 @@ void DeviceBackend::download(exec::cfloat* dst, const exec::cfloat* src, size_t 
   }
 }
 
+void DeviceBackend::permute_apply(const exec::PermuteMap& map, const exec::cfloat* in,
+                                  exec::cfloat* out, DeviceStats* stats) {
+  map.apply(in, out);
+  if (stats) stats->permute_calls += 1;
+}
+
+exec::Tensor DeviceBackend::permute(const exec::Tensor& t, const std::vector<int>& new_ixs,
+                                    DeviceStats* stats) {
+  if (t.ixs() == new_ixs) {
+    if (stats) stats->permute_calls += 1;
+    return t;
+  }
+  exec::PermuteMap map(exec::permutation_between(t.ixs(), new_ixs), t.rank());
+  exec::Tensor out(new_ixs);
+  permute_apply(map, t.raw(), out.raw(), stats);
+  return out;
+}
+
 exec::Tensor DeviceBackend::contract(const exec::Tensor& a, const exec::Tensor& b,
                                      ThreadPool* pool, exec::ContractStats* cs,
                                      DeviceStats* stats) {
   return exec::contract(a, b, pool, cs, this, stats);
 }
 
-namespace {
-
-// Staging copy for host-class non-unified backends: a single timed
-// copy-construction (fresh aligned storage) IS the transfer — no separate
-// zero-fill + memcpy round trip on the hot path.
-exec::Tensor staged_copy(const exec::Tensor& t, double* bytes, double* ns, uint64_t* ops,
-                         obs::EventKind kind) {
-  obs::TraceScope tr(kind, uint64_t(double(t.size()) * kBytesPerElem));
-  Timer timer;
-  exec::Tensor out = t;
-  *ns += timer.seconds() * 1e9;
-  *bytes += double(t.size()) * kBytesPerElem;
-  *ops += 1;
-  return out;
-}
-
-}  // namespace
-
-exec::Tensor DeviceBackend::run_stem_window(exec::Tensor w, const exec::Tensor* branches,
-                                            int n_steps, exec::ContractStats* cs,
-                                            DeviceStats* stats, size_t* peak_elems) {
-  // Host-class staging only: the aligned Tensor doubles as the device
-  // buffer, so each transfer is one copy. A discrete device (real CUDA)
-  // must override run_stem_window outright — its kernels consume device
-  // pointers, not host Tensors — and route its copies through
-  // upload/download for the same accounting.
+void DeviceBackend::run_stem_window(const exec::StemProgram& prog,
+                                    const exec::cfloat* const* branches, exec::cfloat* w,
+                                    exec::cfloat* tmp, exec::cfloat* out,
+                                    exec::ContractStats* cs, DeviceStats* stats) {
+  // Host-class staging: the scratch buffers double as device memory, so
+  // each transfer is one counted copy. A discrete device (real CUDA) would
+  // keep `w`/`tmp` in device memory and route the same copies through
+  // upload/download.
   const bool staged = !capabilities().unified_memory;
   DeviceStats local;  // transfer accounting when the caller passed none
   DeviceStats* st = stats != nullptr ? stats : &local;
-  if (staged && w.size() > 0)
-    w = staged_copy(w, &st->bytes_to_device, &st->ns_to_device, &st->uploads,
-                    obs::EventKind::kDeviceUpload);
-  size_t peak = w.size();
-  for (int k = 0; k < n_steps; ++k) {
-    const exec::Tensor* b = &branches[k];
-    exec::Tensor staged_b;
+  exec::AlignedCfloatVec stage;  // staged branch copy
+  if (staged) {
+    upload(tmp, w, size_t(1) << prog.in_ixs.size(), st);
+    std::swap(w, tmp);
+  }
+  // `w` always holds the working tensor and `tmp` is free.
+  for (size_t i = 0; i < prog.steps.size(); ++i) {
+    const exec::StemStep& s = prog.steps[i];
+    const exec::cfloat* b = branches[i];
     if (staged) {
-      staged_b = staged_copy(*b, &st->bytes_to_device, &st->ns_to_device, &st->uploads,
-                             obs::EventKind::kDeviceUpload);
-      b = &staged_b;
+      stage.resize(size_t(s.k) * size_t(s.n));
+      upload(stage.data(), b, stage.size(), st);
+      b = stage.data();
     }
-    exec::Tensor wn = contract(w, *b, /*pool=*/nullptr, cs, stats);  // serial: one CPE/SM
-    peak = std::max(peak, w.size() + b->size() + wn.size());
-    w = std::move(wn);
+    if (s.a_map) {
+      const size_t elems = size_t(s.m) * size_t(s.k);
+      ScopedSeconds t(cs != nullptr ? &cs->permute_seconds : nullptr);
+      obs::TraceScope tr(obs::EventKind::kPermute, elems);
+      permute_apply(*s.a_map, w, tmp, stats);
+      std::swap(w, tmp);
+      if (cs) cs->permute_elems += double(elems);
+    }
+    exec::cfloat* c = i + 1 == prog.steps.size() && !staged ? out : tmp;
+    {
+      ScopedSeconds t(cs != nullptr ? &cs->gemm_seconds : nullptr);
+      obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
+      gemm(s.m, s.n, s.k, w, b, c, /*pool=*/nullptr, stats);  // serial: one CPE/SM
+    }
+    if (cs) cs->flops += exec::gemm_flops(s.m, s.n, s.k);
+    std::swap(w, tmp);
     st->stem_steps += 1;
   }
-  if (staged && w.size() > 0)
-    w = staged_copy(w, &st->bytes_to_host, &st->ns_to_host, &st->downloads,
-                    obs::EventKind::kDeviceDownload);
-  if (peak_elems) *peak_elems = peak;
-  return w;
+  if (staged) download(out, w, size_t(1) << prog.out_ixs.size(), st);
 }
 
 // --- registry --------------------------------------------------------------

@@ -1,11 +1,11 @@
 // Pluggable device backends: the accelerator seam of the contraction engine.
 //
-// A DeviceBackend owns the three kernels every executor needs — permute,
-// GEMM, and the fused stem step — plus aligned scratch management and
-// explicit upload/download with DeviceStats accounting. The executors
-// (execute_tree / execute_fused / run_sliced) take a backend pointer and
-// route every kernel through it; a null backend means the raw host path
-// (identical to the "host" backend by construction).
+// A DeviceBackend owns the two kernels every executor needs — GEMM and a
+// permutation-map apply — plus the compiled fused stem window built on
+// them, aligned scratch management and explicit upload/download with
+// DeviceStats accounting. The executors (execute_tree / execute_fused /
+// run_sliced) take a backend pointer and route every kernel through it; a
+// null backend means host_backend().
 //
 // The contract every implementation must honor: for the same inputs the
 // output is BITWISE identical to the host kernels. Backends are free to
@@ -16,7 +16,7 @@
 // tests/test_dist, the CI byte-diff jobs) rests on this.
 //
 // Registry: make_backend("host" | "blocked" | "simd" | "cuda"). "host"
-// delegates to exec::cgemm / exec::permute unchanged; "blocked" runs
+// delegates to exec::cgemm / PermuteMap::apply unchanged; "blocked" runs
 // cache-blocked, alignment-aware, compiler-vectorizable kernels with the
 // identical reduction order; "simd" runs the explicit-intrinsic vector
 // tiers (runtime avx2/avx512/neon dispatch, src/device/cpu_probe.*) with
@@ -82,8 +82,15 @@ class DeviceBackend {
   // C = A · B, row-major complex float, C overwritten (exec::cgemm shape).
   virtual void gemm(int m, int n, int k, const exec::cfloat* a, const exec::cfloat* b,
                     exec::cfloat* c, ThreadPool* pool, DeviceStats* stats) = 0;
-  virtual exec::Tensor permute(const exec::Tensor& t, const std::vector<int>& new_ixs,
-                               DeviceStats* stats) = 0;
+  // Applies a pre-built permutation map (in -> out; out holds
+  // map.map_entries() * map.block_elems() elements). The default is the
+  // host apply; pure data movement, so any override is bitwise-neutral.
+  virtual void permute_apply(const exec::PermuteMap& map, const exec::cfloat* in,
+                             exec::cfloat* out, DeviceStats* stats);
+
+  // Permutes `t` into `new_ixs` through permute_apply (identity is a copy).
+  exec::Tensor permute(const exec::Tensor& t, const std::vector<int>& new_ixs,
+                       DeviceStats* stats);
 
   // One TTGT pairwise contraction through this backend's kernels (the
   // canonical implementation lives in exec::contract, which dispatches back
@@ -91,15 +98,18 @@ class DeviceBackend {
   exec::Tensor contract(const exec::Tensor& a, const exec::Tensor& b, ThreadPool* pool,
                         exec::ContractStats* cs, DeviceStats* stats);
 
-  // Batched stem-step execution: the whole fused window of one secondary
-  // subtask — n_steps contractions of the working tensor against
-  // consecutive branches, serial (one subtask IS one CPE/SM). Staged
-  // (non-unified) backends upload the working tensor once, run the steps in
-  // device scratch, and download the result once; `peak_elems` (optional)
-  // receives the max live elements across the steps (the LDM model check).
-  virtual exec::Tensor run_stem_window(exec::Tensor w, const exec::Tensor* branches,
-                                       int n_steps, exec::ContractStats* cs,
-                                       DeviceStats* stats, size_t* peak_elems = nullptr);
+  // One secondary subtask of a compiled fused window (at least one step),
+  // serial (one subtask IS one CPE/SM): per step, apply the step's map to
+  // the working tensor, then GEMM it against branches[i] (already in the
+  // step's b_order).
+  // `w` holds the working tensor in prog.in_ixs layout; `w` and `tmp` are
+  // scratch of prog.scratch_elems elements, both clobbered. The result
+  // (prog.out_ixs layout) lands in `out`. Staged (non-unified) backends
+  // upload the working tensor and each branch and download the result
+  // through upload/download, so transfers are counted per subtask.
+  void run_stem_window(const exec::StemProgram& prog, const exec::cfloat* const* branches,
+                       exec::cfloat* w, exec::cfloat* tmp, exec::cfloat* out,
+                       exec::ContractStats* cs, DeviceStats* stats);
 
  private:
   exec::Precision precision_;
@@ -134,6 +144,9 @@ BackendSpec parse_backend_spec(const std::string& spec);
 // fp32 (or vice versa) on one worker of a fleet sharing a reduction.
 std::string merge_backend_override(const std::string& job_spec,
                                    const std::string& override_spec);
+
+// The shared fp32 "host" instance: what a null backend pointer means.
+DeviceBackend& host_backend();
 
 // Every registered backend, available or not (the CLI's `--backend=help`).
 std::vector<BackendInfo> available_backends();

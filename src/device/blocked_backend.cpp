@@ -33,7 +33,6 @@
 #include "device/cpu_probe.hpp"
 #include "exec/gemm.hpp"
 #include "exec/mixed_gemm.hpp"
-#include "exec/permute.hpp"
 #include "obs/trace.hpp"
 #include "util/aligned_alloc.hpp"
 #include "util/timer.hpp"
@@ -211,14 +210,6 @@ class BlockedBackend final : public DeviceBackend {
         stats->uploads += x.packs;
       }
     }
-  }
-
-  exec::Tensor permute(const exec::Tensor& t, const std::vector<int>& new_ixs,
-                       DeviceStats* stats) override {
-    // Pure data movement: the reduced-map permute already moves contiguous
-    // aligned blocks, and any reordering is bitwise-neutral by definition.
-    if (stats) stats->permute_calls += 1;
-    return exec::permute(t, new_ixs);
   }
 };
 

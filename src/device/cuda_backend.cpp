@@ -18,7 +18,6 @@
 #include "device/cpu_probe.hpp"
 #include "exec/gemm.hpp"
 #include "exec/mixed_gemm.hpp"
-#include "exec/permute.hpp"
 
 namespace ltns::device {
 
@@ -57,12 +56,6 @@ class CudaBackend final : public DeviceBackend {
     else
       exec::cgemm(m, n, k, a, b, c, pool);
     if (stats) stats->gemm_calls += 1;
-  }
-
-  exec::Tensor permute(const exec::Tensor& t, const std::vector<int>& new_ixs,
-                       DeviceStats* stats) override {
-    if (stats) stats->permute_calls += 1;
-    return exec::permute(t, new_ixs);
   }
 };
 

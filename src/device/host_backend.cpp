@@ -1,10 +1,11 @@
 // "host" backend: the reference device.
 //
-// Delegates straight to exec::cgemm / exec::permute, so its output is the
-// host path's output by definition — this is the backend every other
-// implementation is byte-compared against, and the default the Simulator
-// and CLI run on. Under a +bf16 spec the GEMM runs exec::cgemm_mixed (the
-// portable-tier bf16 chain), which every other bf16 backend matches
+// Delegates straight to exec::cgemm and the base PermuteMap apply, so its
+// output is the host path's output by definition — this is the backend
+// every other implementation is byte-compared against, the default the
+// Simulator and CLI run on, and what a null backend pointer means
+// (host_backend()). Under a +bf16 spec the GEMM runs exec::cgemm_mixed
+// (the portable-tier bf16 chain), which every other bf16 backend matches
 // bitwise the same way the fp32 backends match exec::cgemm.
 #include <memory>
 
@@ -12,7 +13,6 @@
 #include "device/cpu_probe.hpp"
 #include "exec/gemm.hpp"
 #include "exec/mixed_gemm.hpp"
-#include "exec/permute.hpp"
 
 namespace ltns::device {
 
@@ -34,7 +34,7 @@ class HostBackend final : public DeviceBackend {
     c.simd_lanes = probe_simd_lanes();
     c.isa = exec::isa_name(cpu_probe().active);
     c.description = "reference host kernels (exec::cgemm 4x4 micro-kernel, "
-                    "exec::permute reduced map)";
+                    "reduced permute map)";
     return c;
   }
 
@@ -46,18 +46,17 @@ class HostBackend final : public DeviceBackend {
       exec::cgemm(m, n, k, a, b, c, pool);
     if (stats) stats->gemm_calls += 1;
   }
-
-  exec::Tensor permute(const exec::Tensor& t, const std::vector<int>& new_ixs,
-                       DeviceStats* stats) override {
-    if (stats) stats->permute_calls += 1;
-    return exec::permute(t, new_ixs);
-  }
 };
 
 }  // namespace
 
 std::unique_ptr<DeviceBackend> make_host_backend(exec::Precision prec) {
   return std::make_unique<HostBackend>(prec);
+}
+
+DeviceBackend& host_backend() {
+  static HostBackend host(exec::Precision::kFp32);
+  return host;
 }
 
 }  // namespace ltns::device

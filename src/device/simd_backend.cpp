@@ -2,8 +2,8 @@
 //
 // The capability probe (device/cpu_probe) picks the widest ISA tier this
 // machine runs — avx512, avx2, or neon — and every kernel call routes
-// through exec::cgemm_simd / exec::permute_simd at that tier; on hardware
-// with no compiled tier the portable scalar kernels run. LTNS_FORCE_ISA
+// through exec::cgemm_simd / exec::permute_apply_simd at that tier; on
+// hardware with no compiled tier the portable scalar kernels run. LTNS_FORCE_ISA
 // clamps the tier down for the CI dispatch-override matrix.
 //
 // Bitwise contract: at fp32 every tier reproduces exec::cgemm's bits
@@ -57,10 +57,10 @@ class SimdBackend final : public DeviceBackend {
     }
   }
 
-  exec::Tensor permute(const exec::Tensor& t, const std::vector<int>& new_ixs,
-                       DeviceStats* stats) override {
+  void permute_apply(const exec::PermuteMap& map, const exec::cfloat* in, exec::cfloat* out,
+                     DeviceStats* stats) override {
+    exec::permute_apply_simd(cpu_probe().active, map, in, out);
     if (stats) stats->permute_calls += 1;
-    return exec::permute_simd(cpu_probe().active, t, new_ixs);
   }
 };
 

@@ -33,9 +33,31 @@ ContractPlan plan_contract(const std::vector<int>& a_ixs, const std::vector<int>
   return p;
 }
 
+StemProgram compile_stem_program(const std::vector<int>& w_ixs,
+                                 const std::vector<std::vector<int>>& branch_ixs) {
+  StemProgram prog;
+  prog.in_ixs = w_ixs;
+  std::vector<int> w = w_ixs;
+  prog.scratch_elems = size_t(1) << w.size();
+  for (const auto& b : branch_ixs) {
+    ContractPlan p = plan_contract(w, b);
+    StemStep& st = prog.steps.emplace_back();
+    if (!p.a_identity) st.a_map.emplace(permutation_between(w, p.a_order), int(w.size()));
+    st.b_order = std::move(p.b_order);
+    st.m = p.m;
+    st.n = p.n;
+    st.k = p.k;
+    w = std::move(p.out_ixs);
+    prog.scratch_elems = std::max(prog.scratch_elems, size_t(1) << w.size());
+  }
+  prog.out_ixs = std::move(w);
+  return prog;
+}
+
 Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStats* stats,
                 device::DeviceBackend* backend, device::DeviceStats* dstats) {
   ContractPlan p = plan_contract(a.ixs(), b.ixs());
+  device::DeviceBackend& be = backend != nullptr ? *backend : device::host_backend();
 
   const Tensor* ap = &a;
   const Tensor* bp = &b;
@@ -45,12 +67,12 @@ Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStat
     obs::TraceScope tr(obs::EventKind::kPermute,
                        (!p.a_identity ? a.size() : 0) + (!p.b_identity ? b.size() : 0));
     if (!p.a_identity) {
-      a_tmp = backend != nullptr ? backend->permute(a, p.a_order, dstats) : permute(a, p.a_order);
+      a_tmp = be.permute(a, p.a_order, dstats);
       ap = &a_tmp;
       if (stats) stats->permute_elems += double(a.size());
     }
     if (!p.b_identity) {
-      b_tmp = backend != nullptr ? backend->permute(b, p.b_order, dstats) : permute(b, p.b_order);
+      b_tmp = be.permute(b, p.b_order, dstats);
       bp = &b_tmp;
       if (stats) stats->permute_elems += double(b.size());
     }
@@ -60,11 +82,7 @@ Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStat
   {
     ScopedSeconds st(stats != nullptr ? &stats->gemm_seconds : nullptr);
     obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(p.m) * uint64_t(p.n), uint64_t(p.k));
-    if (backend != nullptr) {
-      backend->gemm(p.m, p.n, p.k, ap->raw(), bp->raw(), out.raw(), pool, dstats);
-    } else {
-      cgemm(p.m, p.n, p.k, ap->raw(), bp->raw(), out.raw(), pool);
-    }
+    be.gemm(p.m, p.n, p.k, ap->raw(), bp->raw(), out.raw(), pool, dstats);
   }
   if (stats) stats->flops += gemm_flops(p.m, p.n, p.k);
   return out;

@@ -8,6 +8,7 @@
 // convention, which is why the executors keep "free A then free B" order.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "exec/gemm.hpp"
@@ -34,6 +35,25 @@ struct ContractPlan {
 
 ContractPlan plan_contract(const std::vector<int>& a_ixs, const std::vector<int>& b_ixs);
 
+// A chain of contractions of one working tensor against a fixed sequence
+// of branches, compiled once from the layouts alone: each step is what
+// contract(w, branch) would do, minus every per-call decision.
+struct StemStep {
+  std::optional<PermuteMap> a_map;  // working tensor -> a_order; none when a_identity
+  std::vector<int> b_order;         // the branch layout the GEMM reads
+  int m = 1, n = 1, k = 1;          // GEMM shape
+};
+
+struct StemProgram {
+  std::vector<int> in_ixs;   // working-tensor layout entering step 0
+  std::vector<int> out_ixs;  // layout after the last step
+  std::vector<StemStep> steps;
+  size_t scratch_elems = 1;  // largest working tensor along the chain
+};
+
+StemProgram compile_stem_program(const std::vector<int>& w_ixs,
+                                 const std::vector<std::vector<int>>& branch_ixs);
+
 struct ContractStats {
   double flops = 0;
   double permute_elems = 0;   // elements moved by transposes
@@ -42,10 +62,9 @@ struct ContractStats {
 };
 
 // Contracts A with B over all shared edges. `pool` parallelizes the GEMM;
-// stats (optional) accumulate. When `backend` is set the permute and GEMM
-// kernels run through it (and `dstats`, optional, receives its transfer/
-// kernel accounting); a null backend is the raw host path, bitwise
-// identical to the "host" backend by construction.
+// stats (optional) accumulate. The permute and GEMM kernels run through
+// `backend` (a null backend means device::host_backend()); `dstats`,
+// optional, receives its transfer/kernel accounting.
 Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool = nullptr,
                 ContractStats* stats = nullptr, device::DeviceBackend* backend = nullptr,
                 device::DeviceStats* dstats = nullptr);

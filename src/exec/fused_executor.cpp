@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "device/backend.hpp"
+#include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace ltns::exec {
@@ -59,6 +62,62 @@ IndexSet unsliced_ixs(const tn::ContractionTree& tree, int node, const IndexSet&
   IndexSet s = tree.node(node).ixs;
   s -= sliced;
   return s;
+}
+
+// Axis order of every node's tensor at run time, from the tree alone: a
+// leaf keeps its vertex's incidence order minus the process-sliced axes
+// (Tensor::fixed_all), and each contraction lays out keep_a + keep_b.
+// build() creates children first, so index order is a postorder.
+std::vector<std::vector<int>> node_layouts(const tn::ContractionTree& tree,
+                                           const IndexSet& sliced) {
+  std::vector<std::vector<int>> lay(size_t(tree.num_nodes()));
+  for (int id = 0; id < tree.num_nodes(); ++id) {
+    const auto& n = tree.node(id);
+    if (n.is_leaf()) {
+      for (int e : tree.network()->vertex(n.leaf_vertex).edges)
+        if (!sliced.contains(e)) lay[size_t(id)].push_back(e);
+    } else {
+      lay[size_t(id)] = plan_contract(lay[size_t(n.left)], lay[size_t(n.right)]).out_ixs;
+    }
+  }
+  return lay;
+}
+
+// Walks the stem layouts through the planned windows and compiles each
+// in-LDM window: secondary axes, the gather map and the step program.
+void compile_windows(FusedPlan& plan, const IndexSet& sliced) {
+  const tn::Stem& stem = *plan.stem;
+  const auto lay = node_layouts(*stem.tree, sliced);
+  std::vector<int> T = lay[size_t(stem.nodes[0])];
+  for (auto& win : plan.windows) {
+    win.t_ixs = T;
+    if (!win.in_ldm) {
+      T = plan_contract(T, lay[size_t(stem.branches[size_t(win.begin_step)])]).out_ixs;
+      continue;
+    }
+    std::vector<std::vector<int>> branch_ixs;
+    IndexSet touched(stem.tree->network()->num_edges());
+    for (int k = win.begin_step; k < win.end_step; ++k) {
+      branch_ixs.push_back(lay[size_t(stem.branches[size_t(k)])]);
+      for (int e : branch_ixs.back()) touched.insert(e);
+    }
+    std::vector<int> kept, kept_axes;
+    const int r = int(T.size());
+    for (int d = 0; d < r; ++d) {
+      if (touched.contains(T[size_t(d)])) {
+        kept.push_back(T[size_t(d)]);
+        kept_axes.push_back(d);
+      } else {
+        win.secondary.push_back(T[size_t(d)]);
+        win.secondary_strides.push_back(size_t(1) << (r - 1 - d));
+      }
+    }
+    assert(int(win.secondary.size()) == win.secondary_count);
+    win.gather = PermuteMap(kept_axes, r);
+    win.program = compile_stem_program(kept, branch_ixs);
+    T = win.secondary;
+    T.insert(T.end(), win.program.out_ixs.begin(), win.program.out_ixs.end());
+  }
 }
 
 }  // namespace
@@ -128,152 +187,101 @@ FusedPlan plan_fused(const tn::Stem& stem, const std::vector<int>& process_slice
     plan.windows.push_back(win);
     i = win.end_step;
   }
+  compile_windows(plan, S);
   return plan;
 }
 
 namespace {
 
-// Contiguous-run length (in elements) of the kept axes at the tail of T's
-// axis order — the DMA-get granularity of a strided sub-tensor load.
-size_t tail_block_elems(const Tensor& t, const IndexSet& secondary) {
-  size_t run = 0;
-  for (int d = t.rank() - 1; d >= 0; --d) {
-    if (secondary.contains(t.ixs()[size_t(d)])) break;
-    ++run;
-  }
-  return size_t(1) << run;
-}
-
 struct WindowExec {
   const FusedPlan& plan;
   ThreadPool* pool;
   FusedStats* stats;
-  device::DeviceBackend* backend;
+  device::DeviceBackend& backend;
 
-  // Executes window `win` on current stem tensor `T` with pre-contracted
-  // branch tensors; returns the new stem tensor.
+  // Executes compiled window `win` on current stem tensor `T` (already
+  // checked against win.t_ixs) with pre-contracted branch tensors; returns
+  // the new stem tensor: secondary axes leading (so each subtask's DMA-put
+  // is one contiguous block), then the program's output layout.
   Tensor run(const FusedWindow& win, const Tensor& T, const std::vector<Tensor>& branches) {
-    const tn::TensorNetwork& net = *plan.stem->tree->network();
+    const StemProgram& prog = win.program;
+    const size_t n_steps = prog.steps.size();
 
-    // Secondary slice set: T's indices untouched by the window's branches.
-    IndexSet touched(net.num_edges());
-    for (int k = win.begin_step; k < win.end_step; ++k)
-      for (int e : branches[size_t(k)].ixs()) touched.insert(e);
-    std::vector<int> secondary;   // in T's axis order
-    std::vector<int> kept;
-    IndexSet secondary_set(net.num_edges());
-    for (int e : T.ixs()) {
-      if (touched.contains(e)) {
-        kept.push_back(e);
-      } else {
-        secondary.push_back(e);
-        secondary_set.insert(e);
-      }
+    // Each branch into its step's b_order, once per process subtask.
+    ExecStats bstats;
+    std::vector<Tensor> ordered(n_steps);
+    std::vector<const cfloat*> bptr(n_steps);
+    for (size_t i = 0; i < n_steps; ++i) {
+      const Tensor& b = branches[size_t(win.begin_step) + i];
+      bptr[i] = b.raw();
+      if (b.ixs() == prog.steps[i].b_order) continue;
+      ScopedSeconds t(&bstats.permute_seconds);
+      obs::TraceScope tr(obs::EventKind::kPermute, b.size());
+      ordered[i] = backend.permute(b, prog.steps[i].b_order, &bstats.device);
+      bstats.permute_elems += double(b.size());
+      bptr[i] = ordered[i].raw();
     }
-    assert(int(secondary.size()) == win.secondary_count);
 
-    // Dry-run the first subtask shape to learn the output layout.
-    // Output tensor: secondary axes leading (so each subtask's DMA-put is
-    // one contiguous block), then the final working layout.
-    const uint64_t n_sub = uint64_t(1) << secondary.size();
-    const size_t get_block = tail_block_elems(T, secondary_set);
-
-    // All subtasks share these read-only inputs.
+    std::vector<int> out_ixs = win.secondary;
+    out_ixs.insert(out_ixs.end(), prog.out_ixs.begin(), prog.out_ixs.end());
+    Tensor out(out_ixs);
+    const size_t ns = win.secondary.size();
+    const size_t w_elems = size_t(1) << prog.in_ixs.size();
+    const size_t out_elems = size_t(1) << prog.out_ixs.size();
+    const size_t get_block = win.gather.block_elems();
     std::mutex merge_mu;
-    Tensor out;               // allocated after first subtask reveals layout
-    std::vector<int> w_ixs;   // final working-layout ixs
-    bool out_ready = false;
 
-    auto run_subtask = [&](uint64_t s) {
+    // Subtasks [b0, b1) on one CPE: gather -> program -> block put, in two
+    // scratch buffers reused across the range.
+    auto run_range = [&](size_t b0, size_t b1) {
       ExecStats es;
       DmaStats ds;
-      ScopedSeconds tmem(&es.memory_seconds);
-      Tensor w = T.gather_fixed(secondary, s);
-      tmem.close();
-      double g = double(get_block) * kBytesPerElem;
-      double moved = double(w.size()) * kBytesPerElem;
-      if (plan.cooperative_dma && g < 512.0) {
-        // §5.3.2: cooperative block load + RMA redistribution.
-        ds.rma_bytes += moved;
-        g = std::min(512.0, double(T.size()) * kBytesPerElem);
-      }
-      ds.record_get(moved, g);
-      size_t ldm_peak = w.size();
-
-      if (backend != nullptr) {
-        // Batched device execution: the whole window's steps run on the
-        // backend (one staged upload/download round-trip for non-unified
-        // devices). The DMA model still counts each branch get.
-        for (int k = win.begin_step; k < win.end_step; ++k) {
-          const Tensor& b = branches[size_t(k)];
-          ds.record_get(double(b.size()) * kBytesPerElem, double(b.size()) * kBytesPerElem);
+      AlignedCfloatVec w(prog.scratch_elems), tmp(prog.scratch_elems);
+      for (size_t blk = b0; blk < b1; ++blk) {
+        size_t base = 0;
+        for (size_t i = 0; i < ns; ++i)
+          if ((blk >> (ns - 1 - i)) & 1) base += win.secondary_strides[i];
+        ScopedSeconds tmem(&es.memory_seconds);
+        win.gather.apply(T.raw() + base, w.data());
+        tmem.close();
+        double g = double(get_block) * kBytesPerElem;
+        const double moved = double(w_elems) * kBytesPerElem;
+        if (plan.cooperative_dma && g < 512.0) {
+          // §5.3.2: cooperative block load + RMA redistribution.
+          ds.rma_bytes += moved;
+          g = std::min(512.0, double(T.size()) * kBytesPerElem);
         }
+        ds.record_get(moved, g);
+        for (size_t i = 0; i < n_steps; ++i) {
+          const double bytes = double(prog.steps[i].k) * prog.steps[i].n * kBytesPerElem;
+          ds.record_get(bytes, bytes);
+        }
+        // The program's last GEMM writes the subtask's contiguous block of
+        // `out` directly: the DMA-put / stacking step.
         ContractStats cs;
-        size_t peak = 0;
-        w = backend->run_stem_window(std::move(w), branches.data() + win.begin_step,
-                                     win.end_step - win.begin_step, &cs, &es.device, &peak);
+        backend.run_stem_window(prog, bptr.data(), w.data(), tmp.data(),
+                                out.raw() + blk * out_elems, &cs, &es.device);
         es.flops += cs.flops;
         es.permute_elems += cs.permute_elems;
         es.gemm_seconds += cs.gemm_seconds;
         es.permute_seconds += cs.permute_seconds;
-        ldm_peak = std::max(ldm_peak, peak);
-      } else {
-        for (int k = win.begin_step; k < win.end_step; ++k) {
-          const Tensor& b = branches[size_t(k)];
-          ds.record_get(double(b.size()) * kBytesPerElem, double(b.size()) * kBytesPerElem);
-          ContractStats cs;
-          Tensor wn = contract(w, b, nullptr, &cs);  // serial: this IS one CPE
-          es.flops += cs.flops;
-          es.permute_elems += cs.permute_elems;
-          es.gemm_seconds += cs.gemm_seconds;
-          es.permute_seconds += cs.permute_seconds;
-          ldm_peak = std::max(ldm_peak, w.size() + b.size() + wn.size());
-          w = std::move(wn);
-        }
+        ds.record_put(double(out_elems) * kBytesPerElem, double(out_elems) * kBytesPerElem);
       }
-      assert(ldm_peak <= plan.ldm_elems || !win.in_ldm);
-
-      {
-        std::lock_guard<std::mutex> lk(merge_mu);
-        if (!out_ready) {
-          w_ixs = w.ixs();
-          std::vector<int> out_ixs = secondary;
-          out_ixs.insert(out_ixs.end(), w_ixs.begin(), w_ixs.end());
-          out = Tensor(out_ixs);
-          out_ready = true;
-        }
-      }
-      // Subtask writes its contiguous block (the DMA-put / stacking step).
-      // fixed_all assigns bit i of `s` to secondary[i]; in the output layout
-      // secondary[0] is the slowest axis, so the block index mirrors s.
-      assert(w.ixs() == w_ixs && "subtasks must share the working layout");
-      uint64_t block = 0;
-      for (size_t i = 0; i < secondary.size(); ++i)
-        block |= ((s >> i) & 1) << (secondary.size() - 1 - i);
-      ScopedSeconds tput(&es.memory_seconds);
-      std::copy(w.data().begin(), w.data().end(), out.data().begin() + size_t(block) * w.size());
-      tput.close();
-      ds.record_put(double(w.size()) * kBytesPerElem, double(w.size()) * kBytesPerElem);
-
       if (stats) {
         std::lock_guard<std::mutex> lk(merge_mu);
         stats->exec.merge(es);
         stats->dma.merge(ds);
-        stats->ldm_subtasks += 1;
-        stats->ldm_peak_elems = std::max(stats->ldm_peak_elems, ldm_peak);
+        stats->ldm_subtasks += b1 - b0;
+        stats->ldm_peak_elems = std::max(stats->ldm_peak_elems, win.ldm_peak_elems);
       }
     };
 
-    // The first subtask runs alone to fix the output layout; the rest in
-    // parallel on the CPE grid.
-    run_subtask(0);
-    if (n_sub > 1) {
-      if (pool != nullptr) {
-        pool->parallel_for_each(size_t(n_sub - 1), [&](size_t idx) { run_subtask(idx + 1); });
-      } else {
-        for (uint64_t s = 1; s < n_sub; ++s) run_subtask(s);
-      }
-    }
+    const size_t n_sub = size_t(1) << ns;
+    if (pool != nullptr)
+      pool->parallel_for(n_sub, [&](int, size_t b0, size_t b1) { run_range(b0, b1); });
+    else
+      run_range(0, n_sub);
+    if (stats) stats->exec.merge(bstats);
     return out;
   }
 };
@@ -296,8 +304,11 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
                                pool, &branch_stats, backend);
   if (stats) stats->exec.merge(branch_stats);
 
-  WindowExec we{plan, pool, stats, backend};
+  WindowExec we{plan, pool, stats, backend != nullptr ? *backend : device::host_backend()};
   for (const auto& win : plan.windows) {
+    if (cur.ixs() != win.t_ixs)
+      throw std::runtime_error("fused window at stem step " + std::to_string(win.begin_step) +
+                               ": live stem tensor layout differs from the compiled one");
     if (win.in_ldm) {
       cur = we.run(win, cur, branches);
     } else {

@@ -47,12 +47,25 @@ struct DmaStats {
   void merge(const DmaStats& o);
 };
 
+// A window is compiled at plan time from layouts derived from the tree
+// alone (leaf incidence order minus the process-sliced axes, then
+// plan_contract's keep_a + keep_b at every node), so nothing but the
+// values changes between secondary subtasks, process subtasks or ops.
 struct FusedWindow {
   int begin_step = 0;  // stem step range [begin_step, end_step)
   int end_step = 0;
   bool in_ldm = true;  // false: fell back to a main-memory step
   int secondary_count = 0;  // |S2| chosen at plan time
   size_t ldm_peak_elems = 0;
+
+  std::vector<int> t_ixs;  // stem tensor layout entering the window
+  // In-LDM windows only. Output block b (secondary axes leading) reads T
+  // at offset Σ_i bit(|S2|-1-i) of b · secondary_strides[i], through
+  // `gather`, then runs `program`.
+  std::vector<int> secondary;  // S2 axes, in t_ixs order
+  std::vector<size_t> secondary_strides;
+  PermuteMap gather{{}, 0};  // T -> working tensor, secondary axes at 0
+  StemProgram program;
 };
 
 struct FusedPlan {
@@ -69,7 +82,8 @@ struct FusedPlan {
   double average_fused_length() const;
 };
 
-// Plans the windows. `process_sliced` must match what execution will fix.
+// Plans and compiles the windows. `process_sliced` must match what
+// execution will fix.
 FusedPlan plan_fused(const tn::Stem& stem, const std::vector<int>& process_sliced,
                      size_t ldm_elems, bool cooperative_dma = true);
 
@@ -83,9 +97,11 @@ struct FusedStats {
 // Executes the whole stem for one process-level subtask. Branches are
 // pre-contracted with the step-by-step executor (their cost is counted into
 // `stats->exec` as the paper counts branch pre-conditioning). `backend`
-// (optional) runs every kernel — and each secondary subtask's whole fused
-// window, batched — on a device backend; output is bitwise identical for
-// any conforming backend.
+// (optional, null = host) runs every kernel — and each secondary subtask's
+// compiled window — on a device backend; output is bitwise identical for
+// any conforming backend. Throws std::runtime_error when a live stem
+// tensor's layout differs from the compiled one (leaves whose axis order
+// is not their vertex's incidence order).
 Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t assignment,
                      ThreadPool* pool = nullptr, FusedStats* stats = nullptr,
                      device::DeviceBackend* backend = nullptr);

@@ -1,13 +1,14 @@
 #include "exec/permute.hpp"
 
-#include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 namespace ltns::exec {
 
 std::vector<int> permutation_between(const std::vector<int>& from_ixs,
                                      const std::vector<int>& to_ixs) {
-  assert(from_ixs.size() == to_ixs.size());
+  if (from_ixs.size() != to_ixs.size())
+    throw std::invalid_argument("permute: target layout is not a permutation of the axes");
   std::vector<int> perm(to_ixs.size());
   for (size_t j = 0; j < to_ixs.size(); ++j) {
     int found = -1;
@@ -16,7 +17,8 @@ std::vector<int> permutation_between(const std::vector<int>& from_ixs,
         found = int(d);
         break;
       }
-    assert(found >= 0 && "to_ixs is not a permutation of from_ixs");
+    if (found < 0)
+      throw std::invalid_argument("permute: target layout is not a permutation of the axes");
     perm[j] = found;
   }
   return perm;
@@ -39,21 +41,22 @@ Tensor permute_naive(const Tensor& t, const std::vector<int>& new_ixs) {
 }
 
 PermuteMap::PermuteMap(const std::vector<int>& perm, int rank) : rank_(rank) {
-  // Trailing axes with perm[j] == j move as one contiguous block — this is
-  // the §5.3.1 reduction: the map only addresses the leading axes.
+  // Trailing out axes that sit at the input's tail move as one contiguous
+  // block — this is the §5.3.1 reduction: the map only addresses the
+  // leading axes.
+  const int out_rank = int(perm.size());
   int m = 0;
-  while (m < rank && perm[size_t(rank - 1 - m)] == rank - 1 - m) ++m;
+  while (m < out_rank && perm[size_t(out_rank - 1 - m)] == rank - 1 - m) ++m;
   block_axes_ = m;
-  const int lead = rank - m;
-  // in-bit position for each *leading* out bit p (block bits excluded).
-  std::vector<int> srcpos(static_cast<size_t>(lead), 0);
-  for (int j = 0; j < lead; ++j) srcpos[size_t(lead - 1 - j)] = rank - 1 - perm[size_t(j)];
+  const int lead = out_rank - m;
+  // In-element stride of each *leading* out bit p (block bits excluded).
+  std::vector<uint32_t> stride(static_cast<size_t>(lead), 0);
+  for (int p = 0; p < lead; ++p)
+    stride[size_t(p)] = uint32_t(1) << (rank - 1 - perm[size_t(lead - 1 - p)]);
   map_.resize(size_t(1) << lead);
-  for (size_t o = 0; o < map_.size(); ++o) {
-    size_t in = 0;
-    for (int p = 0; p < lead; ++p) in |= ((o >> p) & 1) << srcpos[size_t(p)];
-    map_[o] = uint32_t(in);
-  }
+  map_[0] = 0;
+  for (size_t o = 1; o < map_.size(); ++o)
+    map_[o] = map_[o & (o - 1)] + stride[size_t(__builtin_ctzll(o))];
 }
 
 void PermuteMap::apply(const cfloat* in, cfloat* out) const {

@@ -27,20 +27,25 @@ struct PermuteStats {
   size_t block_elems = 1;   // contiguous copy granularity
 };
 
-// out axis j takes in axis perm[j]; returns the permutation or aborts if
-// new_ixs is not a permutation of t.ixs().
+// out axis j takes in axis perm[j]; returns the permutation, or throws
+// std::invalid_argument if to_ixs is not a permutation of from_ixs.
 std::vector<int> permutation_between(const std::vector<int>& from_ixs,
                                      const std::vector<int>& to_ixs);
 
 // Reference implementation (naive).
 Tensor permute_naive(const Tensor& t, const std::vector<int>& new_ixs);
 
-// Reusable pre-computed map with §5.3.1 block reduction.
+// Reusable pre-computed map with §5.3.1 block reduction. Out axis j takes
+// in axis perm[j] of a rank-`rank` input. `perm` may name only a subset of
+// the in axes: the absent ones are held at bit 0, so apply(in + base, out)
+// gathers the sub-tensor at any fixed offset `base` (the fused executor's
+// strided DMA-get). Built in O(map entries) by the recursion
+// map[o] = map[o & (o-1)] + stride[ctz(o)].
 class PermuteMap {
  public:
   PermuteMap(const std::vector<int>& perm, int rank);
 
-  int rank() const { return rank_; }
+  int rank() const { return rank_; }  // of the input
   size_t map_entries() const { return map_.size(); }
   size_t block_elems() const { return size_t(1) << block_axes_; }
   int block_axes() const { return block_axes_; }
@@ -48,7 +53,7 @@ class PermuteMap {
   // gather/blocked-copy apply in simd_kernels.
   const uint32_t* map_data() const { return map_.data(); }
 
-  // out must have 2^rank elements.
+  // out must have map_entries() * block_elems() elements.
   void apply(const cfloat* in, cfloat* out) const;
 
  private:

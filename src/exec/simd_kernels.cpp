@@ -465,26 +465,4 @@ void permute_apply_simd(IsaTier tier, const PermuteMap& map, const cfloat* in, c
   }
 }
 
-Tensor permute_simd(IsaTier tier, const Tensor& t, const std::vector<int>& new_ixs,
-                    PermuteStats* stats) {
-  if (t.ixs() == new_ixs) {
-    if (stats) {
-      stats->elements = t.size();
-      stats->map_entries = 0;
-      stats->block_elems = t.size();
-    }
-    return t;
-  }
-  auto perm = permutation_between(t.ixs(), new_ixs);
-  PermuteMap map(perm, t.rank());
-  Tensor out(new_ixs);
-  permute_apply_simd(tier, map, t.raw(), out.raw());
-  if (stats) {
-    stats->elements = t.size();
-    stats->map_entries = map.map_entries();
-    stats->block_elems = map.block_elems();
-  }
-  return out;
-}
-
 }  // namespace ltns::exec

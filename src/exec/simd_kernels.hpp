@@ -88,9 +88,4 @@ void cgemm_simd(IsaTier tier, Precision prec, int m, int n, int k, const cfloat*
 // movement — bitwise identical to PermuteMap::apply on every tier.
 void permute_apply_simd(IsaTier tier, const PermuteMap& map, const cfloat* in, cfloat* out);
 
-// exec::permute through the vectorized apply (identity permutations are
-// plain copies, exactly like the reference fast path).
-Tensor permute_simd(IsaTier tier, const Tensor& t, const std::vector<int>& new_ixs,
-                    PermuteStats* stats = nullptr);
-
 }  // namespace ltns::exec

@@ -64,45 +64,6 @@ Tensor Tensor::fixed_all(const std::vector<int>& edges, uint64_t bits) const {
   return cur;
 }
 
-Tensor Tensor::gather_fixed(const std::vector<int>& edges, uint64_t bits,
-                            size_t* block_elems_out) const {
-  const int r = rank();
-  // Per-axis fixed bit (-1 = kept), plus the fixed part of the src offset.
-  std::vector<int> fixed_bit(static_cast<size_t>(r), -1);
-  size_t src_base = 0;
-  for (size_t i = 0; i < edges.size(); ++i) {
-    int d = axis_of(edges[i]);
-    if (d < 0) continue;
-    fixed_bit[size_t(d)] = int((bits >> i) & 1);
-    src_base |= size_t((bits >> i) & 1) << bit_of_axis(d);
-  }
-  std::vector<int> kept_ixs;
-  std::vector<int> kept_pos;  // src bit position per kept axis (out order)
-  for (int d = 0; d < r; ++d) {
-    if (fixed_bit[size_t(d)] >= 0) continue;
-    kept_ixs.push_back(ixs_[size_t(d)]);
-    kept_pos.push_back(bit_of_axis(d));
-  }
-  // Contiguous tail: trailing kept axes occupying the low src bits.
-  int tail = 0;
-  while (tail < int(kept_pos.size()) && kept_pos[kept_pos.size() - 1 - size_t(tail)] == tail)
-    ++tail;
-  const size_t block = size_t(1) << tail;
-  if (block_elems_out) *block_elems_out = block;
-
-  Tensor out(kept_ixs);
-  const int lead = int(kept_pos.size()) - tail;
-  const size_t nblocks = out.size() >> tail;
-  for (size_t ob = 0; ob < nblocks; ++ob) {
-    size_t src = src_base;
-    // Leading out bit p (above the tail) feeds kept axis (lead-1-p).
-    for (int p = 0; p < lead; ++p)
-      src |= ((ob >> p) & 1) << kept_pos[size_t(lead - 1 - p)];
-    std::memcpy(out.data_.data() + ob * block, data_.data() + src, block * sizeof(cfloat));
-  }
-  return out;
-}
-
 double Tensor::norm2() const {
   double s = 0;
   for (const cfloat& v : data_) s += double(v.real()) * v.real() + double(v.imag()) * v.imag();

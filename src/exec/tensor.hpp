@@ -64,13 +64,6 @@ class Tensor {
   // here; slicing fixes them globally).
   Tensor fixed_all(const std::vector<int>& edges, uint64_t bits) const;
 
-  // Single-pass strided gather: like fixed_all but O(output size) — one
-  // contiguous-block copy per stride run. This is the DMA-get primitive of
-  // the fused executor (§5.2); `block_elems_out` (optional) receives the
-  // contiguous granularity in elements.
-  Tensor gather_fixed(const std::vector<int>& edges, uint64_t bits,
-                      size_t* block_elems_out = nullptr) const;
-
   // Releases the payload (used by executors to bound live memory).
   void drop() { data_.clear(); data_.shrink_to_fit(); }
 

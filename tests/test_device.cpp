@@ -316,18 +316,17 @@ TEST(DeviceBackend, StemWindowBatchedMatchesStepLoopBitwise) {
   branches.push_back(exec::random_tensor({101, 103, 104, 105}, 24));
 
   exec::Tensor expect = w0;
-  for (const auto& b : branches) expect = exec::contract(expect, b);
+  exec::ContractStats want;
+  for (const auto& b : branches) expect = exec::contract(expect, b, nullptr, &want);
 
   for (const char* name : {"host", "blocked", "simd"}) {
     auto backend = make_backend(name);
     exec::ContractStats cs;
     DeviceStats ds;
-    size_t peak = 0;
-    auto got = backend->run_stem_window(w0, branches.data(), int(branches.size()), &cs, &ds,
-                                        &peak);
+    auto got = test::run_compiled_chain(*backend, w0, branches, &cs, &ds);
     EXPECT_TRUE(bitwise_equal(expect, got)) << name;
     EXPECT_EQ(ds.stem_steps, branches.size()) << name;
-    EXPECT_GE(peak, got.size()) << name;
+    EXPECT_EQ(cs.flops, want.flops) << name;
     if (std::string(name) == "blocked") {
       // Staged: the window uploads w + each branch and downloads the result.
       EXPECT_GE(ds.uploads, 1u + branches.size());

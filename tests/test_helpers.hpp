@@ -7,6 +7,7 @@
 #include "circuit/circuit.hpp"
 #include "circuit/lowering.hpp"
 #include "core/planner.hpp"
+#include "device/backend.hpp"
 #include "exec/tensor.hpp"
 #include "path/greedy.hpp"
 #include "tn/contraction_tree.hpp"
@@ -45,6 +46,26 @@ inline tn::ContractionTree greedy_tree(const tn::TensorNetwork& net, uint64_t se
   g.seed = seed;
   g.temperature = temperature;
   return tn::ContractionTree::build(net, path::greedy_path(net, g));
+}
+
+// Compiles the chain w0 x branches[0] x ... into a StemProgram and runs it
+// once through `backend`'s run_stem_window (the per-subtask fused path).
+inline exec::Tensor run_compiled_chain(device::DeviceBackend& backend, const exec::Tensor& w0,
+                                       const std::vector<exec::Tensor>& branches,
+                                       exec::ContractStats* cs, device::DeviceStats* ds) {
+  std::vector<std::vector<int>> branch_ixs;
+  for (const auto& b : branches) branch_ixs.push_back(b.ixs());
+  const auto prog = exec::compile_stem_program(w0.ixs(), branch_ixs);
+  std::vector<exec::Tensor> ordered;
+  std::vector<const exec::cfloat*> bptr;
+  for (size_t i = 0; i < branches.size(); ++i)
+    ordered.push_back(device::host_backend().permute(branches[i], prog.steps[i].b_order, nullptr));
+  for (const auto& b : ordered) bptr.push_back(b.raw());
+  exec::AlignedCfloatVec w(prog.scratch_elems), tmp(prog.scratch_elems);
+  std::copy(w0.data().begin(), w0.data().end(), w.begin());
+  exec::Tensor out(prog.out_ixs);
+  backend.run_stem_window(prog, bptr.data(), w.data(), tmp.data(), out.raw(), cs, ds);
+  return out;
 }
 
 inline std::vector<int> zero_bits(int n) { return std::vector<int>(size_t(n), 0); }

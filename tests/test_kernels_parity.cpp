@@ -154,8 +154,10 @@ TEST(KernelsParityPermute, FuzzBitwiseAcrossTiersAndBlockSizes) {
     if (new_ixs == ixs) std::swap(new_ixs[0], new_ixs[1]);
     auto t = random_tensor(ixs, 4000 + uint64_t(trial));
     auto want = permute(t, new_ixs);
+    const PermuteMap map(permutation_between(ixs, new_ixs), rank);
     for (IsaTier tier : compiled_isa_tiers()) {
-      auto got = permute_simd(tier, t, new_ixs);
+      Tensor got(new_ixs);
+      permute_apply_simd(tier, map, t.raw(), got.raw());
       ASSERT_TRUE(bitwise_equal(want, got)) << isa_name(tier) << " trial=" << trial;
     }
   }
@@ -170,8 +172,11 @@ TEST(KernelsParityPermute, ElementGranularGatherPathBitwise) {
     std::rotate(new_ixs.begin(), new_ixs.end() - 1, new_ixs.end());
     auto t = random_tensor(ixs, 500 + uint64_t(rank));
     auto want = permute(t, new_ixs);
+    const PermuteMap map(permutation_between(ixs, new_ixs), rank);
+    ASSERT_EQ(map.block_elems(), 1u);
     for (IsaTier tier : compiled_isa_tiers()) {
-      auto got = permute_simd(tier, t, new_ixs);
+      Tensor got(new_ixs);
+      permute_apply_simd(tier, map, t.raw(), got.raw());
       ASSERT_TRUE(bitwise_equal(want, got)) << isa_name(tier) << " rank=" << rank;
     }
   }
@@ -212,15 +217,14 @@ TEST(KernelsParityBackends, StemWindowBitwiseAcrossAllAvailableSpecs) {
   for (const char* suffix : {"", "+bf16"}) {
     exec::ContractStats hcs;
     device::DeviceStats hds;
-    auto want = device::make_backend("host" + std::string(suffix))
-                    ->run_stem_window(w0, branches.data(), int(branches.size()), &hcs, &hds);
+    auto want = test::run_compiled_chain(*device::make_backend("host" + std::string(suffix)), w0,
+                                         branches, &hcs, &hds);
     for (const auto& info : device::available_backends()) {
       if (!info.caps.available) continue;
       const std::string spec = info.name + suffix;
       exec::ContractStats cs;
       device::DeviceStats ds;
-      auto got = device::make_backend(spec)->run_stem_window(w0, branches.data(),
-                                                             int(branches.size()), &cs, &ds);
+      auto got = test::run_compiled_chain(*device::make_backend(spec), w0, branches, &cs, &ds);
       EXPECT_TRUE(bitwise_equal(want, got)) << spec;
       EXPECT_EQ(ds.stem_steps, branches.size()) << spec;
     }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -108,6 +109,66 @@ TEST(PermuteMap, ApplyMatchesNaiveWithBlocks) {
     EXPECT_EQ(max_abs_diff(fast, slow), 0.0);
     if (order != ixs) EXPECT_GE(st.block_elems, size_t(1) << keep_tail);
   }
+}
+
+// The per-bit construction the O(N) recursion replaced: every map entry
+// ORs in the source bit of each leading out bit.
+std::vector<uint32_t> per_bit_map(const std::vector<int>& perm, int rank, int block_axes) {
+  const int lead = int(perm.size()) - block_axes;
+  std::vector<uint32_t> map(size_t(1) << lead);
+  for (size_t o = 0; o < map.size(); ++o) {
+    uint32_t in = 0;
+    for (int p = 0; p < lead; ++p)
+      in |= uint32_t((o >> p) & 1) << (rank - 1 - perm[size_t(lead - 1 - p)]);
+    map[o] = in;
+  }
+  return map;
+}
+
+TEST(PermuteMap, RecursiveBuildMatchesPerBitReference) {
+  Rng rng(47);
+  for (int rank = 0; rank <= 20; ++rank) {
+    for (int variant = 0; variant < 3; ++variant) {
+      // variant 0: identity; 1: shuffle the leading axes only (a trailing
+      // block); 2: shuffle everything.
+      std::vector<int> perm(size_t(rank), 0);
+      std::iota(perm.begin(), perm.end(), 0);
+      const int keep_tail = variant == 1 && rank > 1 ? 1 + int(rng.next_below(uint64_t(rank - 1)))
+                                                      : 0;
+      if (variant > 0)
+        for (size_t i = size_t(rank - keep_tail); i > 1; --i)
+          std::swap(perm[i - 1], perm[rng.next_below(i)]);
+      PermuteMap map(perm, rank);
+      if (variant == 0) EXPECT_EQ(map.block_axes(), rank);
+      if (variant == 1) EXPECT_GE(map.block_axes(), keep_tail);
+      const auto want = per_bit_map(perm, rank, map.block_axes());
+      ASSERT_EQ(map.map_entries(), want.size()) << "rank " << rank;
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), map.map_data()))
+          << "rank " << rank << " variant " << variant;
+    }
+  }
+}
+
+TEST(PermuteMap, SubsetPermGathersLikeFixedAll) {
+  // Naming only some in axes gathers the sub-tensor with the others held
+  // at 0; offsetting the input selects any other fixed assignment. The
+  // kept axes at the input's tail are the contiguous copy granularity.
+  auto t = random_tensor({10, 11, 12, 13, 14, 15}, 77);
+  PermuteMap map({0, 2, 3, 5}, 6);  // fixes axes 1 and 4 (edges 11, 14)
+  EXPECT_EQ(map.block_elems(), 2u);
+  for (uint64_t bits = 0; bits < 4; ++bits) {
+    const size_t base = ((bits & 1) << (6 - 1 - 1)) | (((bits >> 1) & 1) << (6 - 1 - 4));
+    Tensor got({10, 12, 13, 15});
+    map.apply(t.raw() + base, got.raw());
+    EXPECT_EQ(max_abs_diff(t.fixed_all({11, 14}, bits), got), 0.0) << bits;
+  }
+  EXPECT_EQ(PermuteMap({1, 2, 3}, 4).block_elems(), 8u);  // leading axis fixed
+  EXPECT_EQ(PermuteMap({0, 1, 2}, 4).block_elems(), 1u);  // last axis fixed
+}
+
+TEST(PermutationBetween, ThrowsOnNonPermutation) {
+  EXPECT_THROW(permutation_between({1, 2, 3}, {1, 2, 4}), std::invalid_argument);
+  EXPECT_THROW(permutation_between({1, 2, 3}, {1, 2}), std::invalid_argument);
 }
 
 TEST(PermuteStats, ReportsElementCount) {

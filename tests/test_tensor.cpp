@@ -97,36 +97,6 @@ TEST(Tensor, SliceSumRecomposes) {
   EXPECT_NEAR(total, direct, 1e-3);
 }
 
-TEST(Tensor, GatherFixedMatchesFixedAll) {
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    auto t = random_tensor({1, 2, 3, 4, 5, 6}, seed);
-    // Mixed scattered/trailing fixed axes, plus an absent edge.
-    std::vector<int> edges{2, 5, 42, 6};
-    for (uint64_t bits = 0; bits < 16; ++bits) {
-      size_t block = 0;
-      auto fast = t.gather_fixed(edges, bits, &block);
-      auto slow = t.fixed_all(edges, bits);
-      ASSERT_EQ(fast.ixs(), slow.ixs());
-      EXPECT_EQ(max_abs_diff(fast, slow), 0.0) << "bits " << bits;
-      EXPECT_GE(block, 1u);
-    }
-  }
-}
-
-TEST(Tensor, GatherFixedGranularity) {
-  auto t = random_tensor({1, 2, 3, 4}, 7);
-  size_t block = 0;
-  // Fix a leading axis: trailing 3 kept axes stay contiguous.
-  t.gather_fixed({1}, 0, &block);
-  EXPECT_EQ(block, 8u);
-  // Fix the last axis: no contiguous tail.
-  t.gather_fixed({4}, 0, &block);
-  EXPECT_EQ(block, 1u);
-  // Fix nothing that exists: whole tensor is one block.
-  t.gather_fixed({99}, 0, &block);
-  EXPECT_EQ(block, 16u);
-}
-
 TEST(Tensor, Norm2) {
   Tensor t({1});
   t.set({0}, {3, 0});
