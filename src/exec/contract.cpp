@@ -47,6 +47,9 @@ StemProgram compile_stem_program(const std::vector<int>& w_ixs,
     st.m = p.m;
     st.n = p.n;
     st.k = p.k;
+    prog.peak_elems = std::max(prog.peak_elems, size_t(p.m) * size_t(p.k) +
+                                                    size_t(p.k) * size_t(p.n) +
+                                                    size_t(p.m) * size_t(p.n));
     w = std::move(p.out_ixs);
     prog.scratch_elems = std::max(prog.scratch_elems, size_t(1) << w.size());
   }

@@ -49,6 +49,9 @@ struct StemProgram {
   std::vector<int> out_ixs;  // layout after the last step
   std::vector<StemStep> steps;
   size_t scratch_elems = 1;  // largest working tensor along the chain
+  // Largest live working tensor + branch + result of any step
+  // (m·k + k·n + m·n): the LDM demand the chain actually runs with.
+  size_t peak_elems = 0;
 };
 
 StemProgram compile_stem_program(const std::vector<int>& w_ixs,

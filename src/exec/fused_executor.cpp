@@ -112,7 +112,6 @@ void compile_windows(FusedPlan& plan, const IndexSet& sliced) {
         win.secondary_strides.push_back(size_t(1) << (r - 1 - d));
       }
     }
-    assert(int(win.secondary.size()) == win.secondary_count);
     win.gather = PermuteMap(kept_axes, r);
     win.program = compile_stem_program(kept, branch_ixs);
     T = win.secondary;
@@ -143,47 +142,28 @@ FusedPlan plan_fused(const tn::Stem& stem, const std::vector<int>& process_slice
     FusedWindow win;
     win.begin_step = i;
     int j = i;
-    size_t peak = 0;
-    int s2 = 0;
     while (j < n_steps) {
-      IndexSet bj = unsliced_ixs(tree, stem.branches[size_t(j)], S);
-      IndexSet touched2 = touched | bj;
-      IndexSet keptT = T & touched2;
-      int s2_try = T.count() - keptT.count();
-      // Walk the window's working sets and find the peak LDM demand.
-      IndexSet w = keptT;
-      size_t peak_try = 0;
+      IndexSet touched2 = touched | unsliced_ixs(tree, stem.branches[size_t(j)], S);
+      // Walk the window's working sets; every step's live w + branch +
+      // result must fit. This only picks the boundaries: the LDM figure
+      // reported and checked at run time is the compiled program's.
+      IndexSet w = T & touched2;
       bool fits = true;
-      for (int k = win.begin_step; k <= j; ++k) {
+      for (int k = win.begin_step; k <= j && fits; ++k) {
         IndexSet bk = unsliced_ixs(tree, stem.branches[size_t(k)], S);
         IndexSet wn = w ^ bk;
-        size_t need = (size_t(1) << w.count()) + (size_t(1) << bk.count()) +
-                      (size_t(1) << wn.count());
-        peak_try = std::max(peak_try, need);
-        if (need > ldm_elems) {
-          fits = false;
-          break;
-        }
+        fits = (size_t(1) << w.count()) + (size_t(1) << bk.count()) +
+                   (size_t(1) << wn.count()) <=
+               ldm_elems;
         w = wn;
       }
       if (!fits) break;
       touched = touched2;
-      peak = peak_try;
-      s2 = s2_try;
       ++j;
     }
-    if (j == i) {
-      // Not even one step fits: main-memory fallback for this step.
-      win.end_step = i + 1;
-      win.in_ldm = false;
-      win.secondary_count = 0;
-      win.ldm_peak_elems = 0;
-    } else {
-      win.end_step = j;
-      win.in_ldm = true;
-      win.secondary_count = s2;
-      win.ldm_peak_elems = peak;
-    }
+    // Not even one step fits: main-memory fallback for this step.
+    win.in_ldm = j > i;
+    win.end_step = win.in_ldm ? j : i + 1;
     plan.windows.push_back(win);
     i = win.end_step;
   }
@@ -206,6 +186,7 @@ struct WindowExec {
   Tensor run(const FusedWindow& win, const Tensor& T, const std::vector<Tensor>& branches) {
     const StemProgram& prog = win.program;
     const size_t n_steps = prog.steps.size();
+    assert(prog.peak_elems <= plan.ldm_elems && "compiled window exceeds LDM");
 
     // Each branch into its step's b_order, once per process subtask.
     ExecStats bstats;
@@ -272,7 +253,7 @@ struct WindowExec {
         stats->exec.merge(es);
         stats->dma.merge(ds);
         stats->ldm_subtasks += b1 - b0;
-        stats->ldm_peak_elems = std::max(stats->ldm_peak_elems, win.ldm_peak_elems);
+        stats->ldm_peak_elems = std::max(stats->ldm_peak_elems, prog.peak_elems);
       }
     };
 
@@ -287,6 +268,16 @@ struct WindowExec {
 };
 
 }  // namespace
+
+void check_fused_leaves(const FusedPlan& plan, const LeafProvider& leaves) {
+  const tn::ContractionTree& tree = *plan.stem->tree;
+  for (int id = 0; id < tree.num_nodes(); ++id) {
+    const auto& n = tree.node(id);
+    if (n.is_leaf() && leaves(n.leaf_vertex).ixs() != tree.network()->vertex(n.leaf_vertex).edges)
+      throw std::runtime_error("fused plan: leaf of vertex " + std::to_string(n.leaf_vertex) +
+                               " is not in its vertex's incidence order");
+  }
+}
 
 Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t assignment,
                      ThreadPool* pool, FusedStats* stats, device::DeviceBackend* backend) {

@@ -55,13 +55,12 @@ struct FusedWindow {
   int begin_step = 0;  // stem step range [begin_step, end_step)
   int end_step = 0;
   bool in_ldm = true;  // false: fell back to a main-memory step
-  int secondary_count = 0;  // |S2| chosen at plan time
-  size_t ldm_peak_elems = 0;
 
   std::vector<int> t_ixs;  // stem tensor layout entering the window
   // In-LDM windows only. Output block b (secondary axes leading) reads T
   // at offset Σ_i bit(|S2|-1-i) of b · secondary_strides[i], through
-  // `gather`, then runs `program`.
+  // `gather`, then runs `program`, whose peak_elems is the window's LDM
+  // demand.
   std::vector<int> secondary;  // S2 axes, in t_ixs order
   std::vector<size_t> secondary_strides;
   PermuteMap gather{{}, 0};  // T -> working tensor, secondary axes at 0
@@ -91,8 +90,13 @@ struct FusedStats {
   ExecStats exec;
   DmaStats dma;
   uint64_t ldm_subtasks = 0;
-  size_t ldm_peak_elems = 0;
+  size_t ldm_peak_elems = 0;  // max peak_elems of the programs that ran
 };
+
+// The plan compiles for leaves laid out in their vertex's incidence order.
+// Throws std::runtime_error naming the first leaf that is not. run_sliced
+// calls this on its own thread before handing out any task.
+void check_fused_leaves(const FusedPlan& plan, const LeafProvider& leaves);
 
 // Executes the whole stem for one process-level subtask. Branches are
 // pre-contracted with the step-by-step executor (their cost is counted into
@@ -100,8 +104,8 @@ struct FusedStats {
 // (optional, null = host) runs every kernel — and each secondary subtask's
 // compiled window — on a device backend; output is bitwise identical for
 // any conforming backend. Throws std::runtime_error when a live stem
-// tensor's layout differs from the compiled one (leaves whose axis order
-// is not their vertex's incidence order).
+// tensor's layout differs from the compiled one; on a worker thread that
+// aborts, so schedulers call check_fused_leaves first.
 Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t assignment,
                      ThreadPool* pool = nullptr, FusedStats* stats = nullptr,
                      device::DeviceBackend* backend = nullptr);

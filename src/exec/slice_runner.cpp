@@ -32,6 +32,8 @@ SliceRunResult run_sliced(const tn::ContractionTree& tree, const LeafProvider& l
   // bench, a stale plan) must not silently schedule nonsense.
   const uint64_t first = std::min(opt.first_task, all);
   const uint64_t count = opt.num_tasks == 0 ? all - first : std::min(opt.num_tasks, all - first);
+  // A layout mismatch would otherwise throw inside a worker thread.
+  if (opt.fused != nullptr && count > 0) check_fused_leaves(*opt.fused, leaves);
 
   ThreadPool* pool = opt.pool != nullptr ? opt.pool : &ThreadPool::global();
   runtime::SliceScheduler* sched =

@@ -14,6 +14,7 @@
 //   4. DeviceStats rides ExecStats/ExecutorSnapshot through run_sliced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/greedy_slicer.hpp"
@@ -317,7 +318,15 @@ TEST(DeviceBackend, StemWindowBatchedMatchesStepLoopBitwise) {
 
   exec::Tensor expect = w0;
   exec::ContractStats want;
-  for (const auto& b : branches) expect = exec::contract(expect, b, nullptr, &want);
+  size_t live_peak = 0;  // largest live w + branch + result of the step loop
+  std::vector<std::vector<int>> branch_ixs;
+  for (const auto& b : branches) {
+    exec::Tensor next = exec::contract(expect, b, nullptr, &want);
+    live_peak = std::max(live_peak, expect.size() + b.size() + next.size());
+    expect = std::move(next);
+    branch_ixs.push_back(b.ixs());
+  }
+  EXPECT_EQ(exec::compile_stem_program(w0.ixs(), branch_ixs).peak_elems, live_peak);
 
   for (const char* name : {"host", "blocked", "simd"}) {
     auto backend = make_backend(name);

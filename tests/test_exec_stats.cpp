@@ -283,7 +283,7 @@ TEST(Instrumentation, FusedCountsAllWindows) {
   execute_fused(plan, leaves, 0, nullptr, &st);
   uint64_t expected = 0;
   for (const auto& w : plan.windows)
-    if (w.in_ldm) expected += uint64_t(1) << w.secondary_count;
+    if (w.in_ldm) expected += uint64_t(1) << w.secondary.size();
   EXPECT_EQ(st.ldm_subtasks, expected);
   EXPECT_GT(st.dma.bytes_get, 0.0);
   EXPECT_GT(st.dma.bytes_put, 0.0);

@@ -131,7 +131,7 @@ TEST(FusedPlan, RespectsLdmCapacityAtPlanTime) {
   const size_t cap = 1 << 10;
   auto plan = plan_fused(f.stem, {}, cap);
   for (const auto& w : plan.windows)
-    if (w.in_ldm) EXPECT_LE(w.ldm_peak_elems, cap);
+    if (w.in_ldm) EXPECT_LE(w.program.peak_elems, cap);
 }
 
 TEST(FusedPlan, BiggerLdmFusesLongerWindows) {
@@ -182,6 +182,12 @@ TEST(FusedExecutor, RespectsLdmAtRuntime) {
   auto plan = plan_fused(f.stem, {}, cap);
   FusedStats fs;
   execute_fused(plan, f.leaves(), 0, nullptr, &fs);
+  // The reported peak is the executed programs' own live w + branch + result.
+  size_t want = 0;
+  for (const auto& w : plan.windows)
+    if (w.in_ldm) want = std::max(want, w.program.peak_elems);
+  EXPECT_GT(fs.ldm_peak_elems, 0u);
+  EXPECT_EQ(fs.ldm_peak_elems, want);
   EXPECT_LE(fs.ldm_peak_elems, cap);
 }
 
@@ -286,7 +292,7 @@ TEST(CompiledWindow, BitwiseMatchesContractChainOnRandomStems) {
         auto plan = plan_fused(f.stem, sliced, cap);
         for (const auto& w : plan.windows) {
           if (!w.in_ldm) ++fallback;
-          else if (w.secondary_count == 0) ++s2_zero;
+          else if (w.secondary.empty()) ++s2_zero;
           else ++s2_positive;
         }
         for (uint64_t a : {uint64_t(0), last / 2 + 1, last}) {
@@ -331,6 +337,16 @@ TEST(CompiledWindow, LeafLayoutMismatchFailsLoudly) {
   };
   EXPECT_THROW(execute_fused(plan, leaves, 0), std::runtime_error);
   EXPECT_NO_THROW(execute_fused(plan, f.leaves(), 0));
+  // Schedulers catch it on the calling thread, before any worker starts.
+  EXPECT_THROW(check_fused_leaves(plan, leaves), std::runtime_error);
+  EXPECT_NO_THROW(check_fused_leaves(plan, f.leaves()));
+  ThreadPool pool(2);
+  SliceRunOptions opt;
+  opt.fused = &plan;
+  opt.pool = &pool;
+  opt.executor = SliceExecutor::kStaticPool;
+  EXPECT_THROW(run_sliced(*f.tree, leaves, core::SliceSet(f.ln.net), opt),
+               std::runtime_error);
 }
 
 class FusedLdmSweep : public ::testing::TestWithParam<int> {};
