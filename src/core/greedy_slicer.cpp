@@ -34,7 +34,8 @@ SliceSet greedy_slice(const ContractionTree& tree, const GreedySlicerOptions& op
   while (!satisfies_memory_bound(tree, S, opt.target_log2size)) {
     assert(S.size() < opt.max_slices && "greedy slicer exceeded max_slices");
     auto cands = oversized_candidates(tree, S, opt.target_log2size);
-    assert(!cands.empty());
+    if (cands.empty())
+      throw_unreachable_target("greedy_slice", *tree.network(), opt.target_log2size);
     EdgeId best = tn::kNone;
     double best_cost = 0;
     for (EdgeId e : cands) {

@@ -18,7 +18,8 @@ struct GreedySlicerOptions {
 };
 
 // Returns the slicing set; `metrics_out` (optional) receives the final
-// Eq. 2/4 evaluation.
+// Eq. 2/4 evaluation. Throws std::invalid_argument when an oversized tensor
+// holds only open edges (target below the open width).
 SliceSet greedy_slice(const ContractionTree& tree, const GreedySlicerOptions& opt,
                       SlicedMetrics* metrics_out = nullptr);
 

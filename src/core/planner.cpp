@@ -32,9 +32,7 @@ Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt) {
   // bound to the open width (the slicers themselves never pick open edges):
   // a batch with more open qubits than the target still plans, it just
   // holds a root of exactly 2^|open| elements.
-  double open_log2 = 0;
-  for (tn::EdgeId e : net.open_edges()) open_log2 += net.edge(e).log2w;
-  const double target = std::max(opt.target_log2size, open_log2);
+  const double target = std::max(opt.target_log2size, open_log2width(net));
 
   Plan plan{std::move(pr.path),
             nullptr,

@@ -1,7 +1,6 @@
 #include "core/slice_finder.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "core/greedy_slicer.hpp"
 
@@ -76,7 +75,7 @@ SliceSet lifetime_slice_finder(const tn::Stem& stem, const SliceFinderOptions& o
           best_iv = iv;
         }
       });
-      assert(best != tn::kNone && "oversized stem tensor with no unsliced index");
+      if (best == tn::kNone) throw_unreachable_target("lifetime_slice_finder", net, t);
       slice_edge(best);
     }
 
@@ -109,7 +108,7 @@ SliceSet lifetime_slice_finder(const tn::Stem& stem, const SliceFinderOptions& o
           best_cost = c;
         }
       });
-      assert(best != tn::kNone);
+      if (best == tn::kNone) throw_unreachable_target("lifetime_slice_finder", net, t);
       S.add(best);
     }
   }

@@ -24,6 +24,8 @@ struct SliceFinderOptions {
   bool fixup_whole_tree = true;
 };
 
+// Throws std::invalid_argument when a tensor above the target holds only
+// open edges (target below the open width; make_plan clamps it first).
 SliceSet lifetime_slice_finder(const tn::Stem& stem, const SliceFinderOptions& opt,
                                SlicedMetrics* metrics_out = nullptr);
 

@@ -9,6 +9,19 @@
 // replacement gets stuck in. Sliced edges whose lifetime contains no
 // critical tensor contribute nothing to memory reduction and are dropped
 // outright.
+//
+// Evaluation is incremental. The refiner keeps, across proposals, each
+// node's sliced size and Eq. 4 cost term, an edge → node incidence list
+// (nodes whose `ixs` or `union_ixs` hold the edge) and the running log2-sum
+// after each node in tree order (a leaf adds log2(0), which log2_add returns
+// unchanged). A swap or drop re-evaluates only the nodes incident to the
+// edited edges, with the same log2w_intersection calls as evaluate_slicing,
+// and resumes the sum from the stored running value just before the first
+// touched node. Bit-identity rule: the same doubles are added in the same
+// order as a full evaluation, so the
+// returned set, its SlicedMetrics and RefineStats match the full-
+// re-evaluation loop bit for bit (tests/reference_refiner.hpp); a rejected
+// proposal restores the saved values instead of re-evaluating.
 #pragma once
 
 #include <cstdint>

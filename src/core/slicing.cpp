@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 namespace ltns::core {
 
@@ -50,6 +52,20 @@ bool satisfies_memory_bound(const ContractionTree& tree, const SliceSet& slices,
   for (int i = 0; i < tree.num_nodes(); ++i)
     if (sliced_node_log2size(tree, i, slices.edges()) > target_log2size + 1e-9) return false;
   return true;
+}
+
+double open_log2width(const TensorNetwork& net) {
+  double w = 0;
+  for (EdgeId e : net.open_edges()) w += net.edge(e).log2w;
+  return w;
+}
+
+void throw_unreachable_target(const char* slicer, const TensorNetwork& net,
+                              double target_log2size) {
+  std::ostringstream o;
+  o << slicer << ": target_log2size " << target_log2size << " is unreachable: open edges are "
+    << "never sliced (open width " << open_log2width(net) << ")";
+  throw std::invalid_argument(o.str());
 }
 
 double brute_force_sliced_log2cost(const ContractionTree& tree, const SliceSet& slices) {

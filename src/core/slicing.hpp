@@ -60,6 +60,14 @@ double sliced_node_log2size(const ContractionTree& tree, int node, const IndexSe
 bool satisfies_memory_bound(const ContractionTree& tree, const SliceSet& slices,
                             double target_log2size);
 
+// Σ log2w over the open (output) edges, which no slicer ever picks.
+double open_log2width(const TensorNetwork& net);
+
+// std::invalid_argument for a slicer whose oversized tensor holds only open
+// edges: `target_log2size` is below what slicing can reach.
+[[noreturn]] void throw_unreachable_target(const char* slicer, const TensorNetwork& net,
+                                           double target_log2size);
+
 // Brute-force reference used by tests: enumerates all subtask assignments of
 // the (unit-weight) sliced edges and sums per-subtask costs directly.
 // Exponential in |S|; keep |S| small.
