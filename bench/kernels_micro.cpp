@@ -185,17 +185,29 @@ std::vector<exec::IsaTier> runnable_tiers() {
 // Raw per-tier cgemm_simd (no registry indirection): the scalar-vs-vector
 // comparison. Registered dynamically in main() — the tier list depends on
 // the machine running the suite.
-void tier_gemm_bench(benchmark::State& state, exec::IsaTier tier, exec::Precision prec) {
-  const int n = int(state.range(0));
-  auto a = random_buf(size_t(n) * n, 1), b = random_buf(size_t(n) * n, 2);
-  std::vector<cfloat> c(size_t(n) * n);
+void tier_gemm_bench(benchmark::State& state, exec::IsaTier tier, exec::Precision prec, int m,
+                     int n, int k) {
+  auto a = random_buf(size_t(m) * k, 1), b = random_buf(size_t(k) * n, 2);
+  std::vector<cfloat> c(size_t(m) * n);
   for (auto _ : state) {
-    exec::cgemm_simd(tier, prec, n, n, n, a.data(), b.data(), c.data());
+    exec::cgemm_simd(tier, prec, m, n, k, a.data(), b.data(), c.data());
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.counters["flops"] = benchmark::Counter(exec::gemm_flops(n, n, n),
+  state.counters["flops"] = benchmark::Counter(exec::gemm_flops(m, n, k),
                                                benchmark::Counter::kIsIterationInvariantRate);
 }
+
+// Square shapes: m = n = k = the bench argument.
+void tier_square_bench(benchmark::State& state, exec::IsaTier tier, exec::Precision prec) {
+  const int n = int(state.range(0));
+  tier_gemm_bench(state, tier, prec, n, n, n);
+}
+
+// m x n x k GEMMs that dominate amp-grid20's fused stem windows: most of
+// their time is in n < 16, the columns that fill no avx512 lane.
+constexpr int kStemShapes[][3] = {
+    {512, 8, 16}, {1024, 8, 8}, {1024, 8, 16}, {1024, 2, 8}, {256, 32, 32}};
 
 void BM_ContractTTGT(benchmark::State& state) {
   // A typical stem step: rank-r tensor absorbs a rank-4 branch over 2 axes.
@@ -381,16 +393,25 @@ int main(int argc, char** argv) {
   // rather than statically: BM_GemmSimdTier/portable is the scalar chain,
   // and each vector tier's row should beat it.
   for (auto tier : runnable_tiers()) {
+    const std::string name = std::string("BM_GemmSimdTier/") + exec::isa_name(tier);
     benchmark::RegisterBenchmark(
-        (std::string("BM_GemmSimdTier/") + exec::isa_name(tier)).c_str(),
-        [tier](benchmark::State& st) { tier_gemm_bench(st, tier, exec::Precision::kFp32); })
+        name.c_str(),
+        [tier](benchmark::State& st) { tier_square_bench(st, tier, exec::Precision::kFp32); })
         ->Arg(64)
         ->Arg(256);
+    for (const auto& s : kStemShapes) {
+      const int m = s[0], n = s[1], k = s[2];
+      const std::string shape =
+          name + "/" + std::to_string(m) + "x" + std::to_string(n) + "x" + std::to_string(k);
+      benchmark::RegisterBenchmark(shape.c_str(), [tier, m, n, k](benchmark::State& st) {
+        tier_gemm_bench(st, tier, exec::Precision::kFp32, m, n, k);
+      });
+    }
   }
   benchmark::RegisterBenchmark(
       "BM_GemmSimdTier/bf16",
       [](benchmark::State& st) {
-        tier_gemm_bench(st, device::cpu_probe().active, exec::Precision::kBf16);
+        tier_square_bench(st, device::cpu_probe().active, exec::Precision::kBf16);
       })
       ->Arg(64)
       ->Arg(256);

@@ -13,13 +13,25 @@ each one:
 
 Exits 1 listing every problem (also when no BENCH file exists). Stdlib
 only, so the CI job needs nothing but a checkout and python3.
+
+With `--counts FILE RESULTS` it instead checks one run's machine-independent
+counts (CI `bench-smoke`, after `bench/ledger/run.py --smoke`): every value
+FILE pins per workload — an end-to-end median or a per-layer value of the
+traced pass, e.g. `slicing_overhead` and `core.num_slices` — must match
+RESULTS (that run's `results.json`) within 1e-9 relative. A kernel change
+must not move plans; this makes that a CI fact.
+
+    python3 scripts/check_bench.py --counts scripts/smoke_counts.json \
+        .bench_build/ledger-out/results.json
 """
+import argparse
 import glob
 import json
 import os
 import sys
 
 SCHEMA = "ltns.ledger.v1"
+REL_TOL = 1e-9  # geometric means of equal counts differ only in the last bits
 
 
 def problems_in(path, workloads, metrics):
@@ -55,7 +67,52 @@ def problems_in(path, workloads, metrics):
     return out
 
 
+def count_problems(counts, results):
+    out = []
+    rows = results.get("workloads") or {}
+    for w, pinned in counts["workloads"].items():
+        row = rows.get(w)
+        if not isinstance(row, dict):
+            out.append(f"{w}: missing from the results")
+            continue
+        for m, want in pinned.items():
+            got = (row.get("end_to_end", {}).get(m) or {}).get("median")
+            if got is None:
+                got = (row.get("per_layer", {}).get(m) or {}).get("value")
+            if not isinstance(got, (int, float)) or isinstance(got, bool):
+                out.append(f"{w}: {m} missing")
+            elif abs(got - want) > REL_TOL * abs(want):
+                out.append(f"{w}: {m} is {got!r}, pinned {want!r}")
+    return out
+
+
+def check_counts(counts_path, results_path) -> int:
+    try:
+        with open(counts_path, encoding="utf-8") as f:
+            counts = json.load(f)
+        with open(results_path, encoding="utf-8") as f:
+            results = json.load(f)
+    except (OSError, ValueError) as e:
+        print(f"cannot read: {e}")
+        return 1
+    problems = count_problems(counts, results)
+    for p in problems:
+        print(p)
+    n = sum(len(v) for v in counts["workloads"].values())
+    if problems:
+        print(f"{len(problems)} of {n} pinned count(s) differ")
+        return 1
+    print(f"all {n} pinned count(s) match")
+    return 0
+
+
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--counts", nargs=2, metavar=("FILE", "RESULTS"),
+                    help="check RESULTS' deterministic counts against FILE instead")
+    args = ap.parse_args()
+    if args.counts:
+        return check_counts(*args.counts)
     root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as f:
         bench = json.load(f)

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace ltns::exec {
 
@@ -41,6 +42,10 @@ Tensor permute_naive(const Tensor& t, const std::vector<int>& new_ixs) {
 }
 
 PermuteMap::PermuteMap(const std::vector<int>& perm, int rank) : rank_(rank) {
+  // Offsets are uint32_t, and the x86 gathers read them as signed int32.
+  if (rank > 31)
+    throw std::invalid_argument("PermuteMap: rank " + std::to_string(rank) +
+                                " exceeds 31, the widest input a 32-bit offset map can address");
   // Trailing out axes that sit at the input's tail move as one contiguous
   // block — this is the §5.3.1 reduction: the map only addresses the
   // leading axes.

@@ -40,7 +40,9 @@ Tensor permute_naive(const Tensor& t, const std::vector<int>& new_ixs);
 // the in axes: the absent ones are held at bit 0, so apply(in + base, out)
 // gathers the sub-tensor at any fixed offset `base` (the fused executor's
 // strided DMA-get). Built in O(map entries) by the recursion
-// map[o] = map[o & (o-1)] + stride[ctz(o)].
+// map[o] = map[o & (o-1)] + stride[ctz(o)]. Offsets are 32-bit and the x86
+// gathers read them as signed, so the constructor throws
+// std::invalid_argument for rank > 31.
 class PermuteMap {
  public:
   PermuteMap(const std::vector<int>& perm, int rank);

@@ -37,6 +37,14 @@ using Micro4Fn = void (*)(int kc, const float* ar, const float* ai, int as, cons
                           const float* bi, int bs, cfloat* c, int ldc);
 using Micro1Fn = void (*)(int kc, const float* ar, const float* ai, const float* br,
                           const float* bi, int bs, cfloat* c);
+// Row-lane kernels for the ragged columns n_full..n, lanes across rows:
+//   PackTFn:   one lane-row block's K panel of A (row stride lda) into
+//              transposed planes, element (p, r) at ar/ai[p * lanes + r]
+//   RowLaneFn: that block against nr ragged columns of the B planes br/bi
+//              (row stride bs), adding the panel partial into C
+using PackTFn = void (*)(int kc, const cfloat* a, int lda, float* ar, float* ai);
+using RowLaneFn = void (*)(int kc, const float* ar, const float* ai, const float* br,
+                           const float* bi, int bs, int nr, cfloat* c, int ldc);
 
 // --- x86 tiers --------------------------------------------------------------
 
@@ -89,6 +97,79 @@ __attribute__((target("avx2"))) void micro1_avx2(int kc, const float* ar, const 
   add_store_avx2(cr, ci, c);
 }
 
+// 8x8 float transpose: v[i][q] -> v[q][i].
+__attribute__((target("avx2"), always_inline)) inline void transpose8_avx2(__m256* v) {
+  __m256 t[8], u[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(v[i], v[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(v[i], v[i + 1]);
+  }
+  for (int i = 0; i < 8; i += 4) {  // u[i + q], 128-bit lane L: column 4L + q, rows i..i+3
+    u[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+    u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xEE);
+    u[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+    u[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xEE);
+  }
+  for (int q = 0; q < 4; ++q) {
+    v[q] = _mm256_permute2f128_ps(u[q], u[4 + q], 0x20);
+    v[4 + q] = _mm256_permute2f128_ps(u[q], u[4 + q], 0x31);
+  }
+}
+
+// 8 rows x 4 complex per load, transposed into [p][8] planes.
+__attribute__((target("avx2"))) void pack_t_avx2(int kc, const cfloat* a, int lda, float* ar,
+                                                  float* ai) {
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (int p0 = 0; p0 < kc; p0 += 4) {
+    const int np = std::min(4, kc - p0);
+    const __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(2 * np), iota);
+    __m256 v[8];
+    for (int r = 0; r < 8; ++r)
+      v[r] = _mm256_maskload_ps(reinterpret_cast<const float*>(a + size_t(r) * lda + p0), mask);
+    transpose8_avx2(v);
+    for (int p = 0; p < np; ++p) {
+      _mm256_storeu_ps(ar + size_t(p0 + p) * 8, v[2 * p]);
+      _mm256_storeu_ps(ai + size_t(p0 + p) * 8, v[2 * p + 1]);
+    }
+  }
+}
+
+// Row-lane kernel over one 8-row block: the nr < 8 ragged columns run in
+// one group per set bit of nr (4, 2, 1 columns). v[2j] / v[2j+1] are a
+// group's column-j re / im accumulators, transposed back into C rows.
+template <int NJ = 4>
+__attribute__((target("avx2"))) void rowlane_avx2(int kc, const float* ar, const float* ai,
+                                                  const float* br, const float* bi, int bs,
+                                                  int nr, cfloat* c, int ldc) {
+  if (nr & NJ) {
+    const int j0 = nr & ~(2 * NJ - 1);
+    __m256 v[8];
+    for (int j = 0; j < 8; ++j) v[j] = _mm256_setzero_ps();
+    for (int p = 0; p < kc; ++p) {
+      const __m256 arv = _mm256_loadu_ps(ar + size_t(p) * 8);
+      const __m256 aiv = _mm256_loadu_ps(ai + size_t(p) * 8);
+      for (int j = 0; j < NJ; ++j) {
+        const __m256 brv = _mm256_broadcast_ss(br + size_t(p) * bs + j0 + j);
+        const __m256 biv = _mm256_broadcast_ss(bi + size_t(p) * bs + j0 + j);
+        v[2 * j] = _mm256_add_ps(
+            v[2 * j], _mm256_sub_ps(_mm256_mul_ps(arv, brv), _mm256_mul_ps(aiv, biv)));
+        v[2 * j + 1] = _mm256_add_ps(
+            v[2 * j + 1], _mm256_add_ps(_mm256_mul_ps(arv, biv), _mm256_mul_ps(aiv, brv)));
+      }
+    }
+    transpose8_avx2(v);
+    const __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(2 * NJ),
+                                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    // All loads before any store: a masked load behind an overlapping masked
+    // store cannot be forwarded and stalls until the store retires.
+    float* cp = reinterpret_cast<float*>(c + j0);
+    for (int r = 0; r < 8; ++r)
+      v[r] = _mm256_add_ps(_mm256_maskload_ps(cp + size_t(r) * 2 * ldc, mask), v[r]);
+    for (int r = 0; r < 8; ++r) _mm256_maskstore_ps(cp + size_t(r) * 2 * ldc, mask, v[r]);
+  }
+  if constexpr (NJ > 1) rowlane_avx2<NJ / 2>(kc, ar, ai, br, bi, bs, nr, c, ldc);
+}
+
 __attribute__((target("avx512f"))) void add_store_avx512(__m512 cr, __m512 ci, cfloat* crow) {
   const __m512i idx_lo =
       _mm512_set_epi32(23, 7, 22, 6, 21, 5, 20, 4, 19, 3, 18, 2, 17, 1, 16, 0);
@@ -134,6 +215,83 @@ __attribute__((target("avx512f"))) void micro1_avx512(int kc, const float* ar, c
     ci = _mm512_add_ps(ci, _mm512_add_ps(_mm512_mul_ps(arv, biv), _mm512_mul_ps(aiv, brv)));
   }
   add_store_avx512(cr, ci, c);
+}
+
+// 16x16 float transpose: v[i][q] -> v[q][i]. The zero-masked forms with a
+// full mask compile to the plain instructions; the unmasked intrinsics trip
+// GCC 12's -Wuninitialized on their _mm512_undefined_*() operand.
+__attribute__((target("avx512f"), always_inline)) inline void transpose16_avx512(__m512* v) {
+  const __mmask16 all = 0xFFFF;
+  __m512 t[16];
+  for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_maskz_unpacklo_ps(all, v[i], v[i + 1]);
+    t[i + 1] = _mm512_maskz_unpackhi_ps(all, v[i], v[i + 1]);
+  }
+  for (int i = 0; i < 16; i += 4)  // v[i + q], 128-bit lane L: column 4L + q, rows i..i+3
+    for (int h = 0; h < 2; ++h) {
+      const __m512d x = _mm512_castps_pd(t[i + h]), y = _mm512_castps_pd(t[i + h + 2]);
+      v[i + 2 * h] = _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(0xFF, x, y));
+      v[i + 2 * h + 1] = _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(0xFF, x, y));
+    }
+  for (int q = 0; q < 4; ++q) {  // 4x4 transpose of 128-bit lanes
+    const __m512 lo01 = _mm512_maskz_shuffle_f32x4(all, v[q], v[4 + q], 0x44);
+    const __m512 hi01 = _mm512_maskz_shuffle_f32x4(all, v[q], v[4 + q], 0xEE);
+    const __m512 lo23 = _mm512_maskz_shuffle_f32x4(all, v[8 + q], v[12 + q], 0x44);
+    const __m512 hi23 = _mm512_maskz_shuffle_f32x4(all, v[8 + q], v[12 + q], 0xEE);
+    t[q] = _mm512_maskz_shuffle_f32x4(all, lo01, lo23, 0x88);
+    t[4 + q] = _mm512_maskz_shuffle_f32x4(all, lo01, lo23, 0xDD);
+    t[8 + q] = _mm512_maskz_shuffle_f32x4(all, hi01, hi23, 0x88);
+    t[12 + q] = _mm512_maskz_shuffle_f32x4(all, hi01, hi23, 0xDD);
+  }
+  for (int i = 0; i < 16; ++i) v[i] = t[i];
+}
+
+// 16 rows x 8 complex per load, transposed into [p][16] planes.
+__attribute__((target("avx512f"))) void pack_t_avx512(int kc, const cfloat* a, int lda, float* ar,
+                                                      float* ai) {
+  for (int p0 = 0; p0 < kc; p0 += 8) {
+    const int np = std::min(8, kc - p0);
+    const __mmask16 mask = __mmask16((1u << (2 * np)) - 1);
+    __m512 v[16];
+    for (int r = 0; r < 16; ++r) v[r] = _mm512_maskz_loadu_ps(mask, a + size_t(r) * lda + p0);
+    transpose16_avx512(v);
+    for (int p = 0; p < np; ++p) {
+      _mm512_storeu_ps(ar + size_t(p0 + p) * 16, v[2 * p]);
+      _mm512_storeu_ps(ai + size_t(p0 + p) * 16, v[2 * p + 1]);
+    }
+  }
+}
+
+// Row-lane kernel over one 16-row block: groups of 8, 4, 2, 1 columns
+// (see rowlane_avx2).
+template <int NJ = 8>
+__attribute__((target("avx512f"))) void rowlane_avx512(int kc, const float* ar, const float* ai,
+                                                       const float* br, const float* bi, int bs,
+                                                       int nr, cfloat* c, int ldc) {
+  if (nr & NJ) {
+    const int j0 = nr & ~(2 * NJ - 1);
+    __m512 v[16];
+    for (int j = 0; j < 16; ++j) v[j] = _mm512_setzero_ps();
+    for (int p = 0; p < kc; ++p) {
+      const __m512 arv = _mm512_loadu_ps(ar + size_t(p) * 16);
+      const __m512 aiv = _mm512_loadu_ps(ai + size_t(p) * 16);
+      for (int j = 0; j < NJ; ++j) {
+        const __m512 brv = _mm512_set1_ps(br[size_t(p) * bs + j0 + j]);
+        const __m512 biv = _mm512_set1_ps(bi[size_t(p) * bs + j0 + j]);
+        v[2 * j] = _mm512_add_ps(
+            v[2 * j], _mm512_sub_ps(_mm512_mul_ps(arv, brv), _mm512_mul_ps(aiv, biv)));
+        v[2 * j + 1] = _mm512_add_ps(
+            v[2 * j + 1], _mm512_add_ps(_mm512_mul_ps(arv, biv), _mm512_mul_ps(aiv, brv)));
+      }
+    }
+    transpose16_avx512(v);
+    const __mmask16 mask = __mmask16((1u << (2 * NJ)) - 1);
+    float* cp = reinterpret_cast<float*>(c + j0);
+    for (int r = 0; r < 16; ++r)
+      v[r] = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, cp + size_t(r) * 2 * ldc), v[r]);
+    for (int r = 0; r < 16; ++r) _mm512_mask_storeu_ps(cp + size_t(r) * 2 * ldc, mask, v[r]);
+  }
+  if constexpr (NJ > 1) rowlane_avx512<NJ / 2>(kc, ar, ai, br, bi, bs, nr, c, ldc);
 }
 
 __attribute__((target("avx2"))) void gather_avx2(const uint32_t* map, const cfloat* in,
@@ -210,15 +368,17 @@ struct TierKernels {
   size_t lanes = 0;
   Micro4Fn micro4 = nullptr;
   Micro1Fn micro1 = nullptr;
+  PackTFn pack_t = nullptr;  // both null: ragged columns stay on the scalar chain
+  RowLaneFn rowlane = nullptr;
 };
 
 TierKernels tier_kernels(IsaTier tier) {
   switch (tier) {
 #ifdef LTNS_SIMD_X86
     case IsaTier::kAvx2:
-      return {8, micro4_avx2, micro1_avx2};
+      return {8, micro4_avx2, micro1_avx2, pack_t_avx2, rowlane_avx2<>};
     case IsaTier::kAvx512:
-      return {16, micro4_avx512, micro1_avx512};
+      return {16, micro4_avx512, micro1_avx512, pack_t_avx512, rowlane_avx512<>};
 #endif
 #ifdef LTNS_SIMD_NEON
     case IsaTier::kNeon:
@@ -283,37 +443,47 @@ struct PlaneBuf {
 // One row chunk through the vector tier: pack the panel's A/B values into
 // split-complex planes (rounding through bf16 in mixed mode — packing is
 // where operand precision is applied, once per value), run the lane-wide
-// microkernels over full column blocks, and finish ragged columns with the
-// scalar chain.
+// microkernels over full column blocks and the row-lane kernel over the
+// ragged columns of full lane-row blocks, and finish the rows below a
+// lane block with the scalar chain.
 void simd_rows(const TierKernels& tk, Precision prec, int m0, int m1, int n, int k,
                const cfloat* a, const cfloat* b, cfloat* c, SimdPackStats* ps) {
   const bool round = prec == Precision::kBf16;
   for (int i = m0; i < m1; ++i) std::memset(c + size_t(i) * n, 0, size_t(n) * sizeof(cfloat));
   const int lanes = int(tk.lanes);
   const int n_full = n - n % lanes;
+  const int nr = n - n_full;
   const int mc = m1 - m0;
+  const int mt = nr > 0 && tk.rowlane != nullptr ? mc - mc % lanes : 0;  // row-lane rows
   PlaneBuf buf;
   for (int kp = 0; kp < k; kp += kKc) {
     const int kc = std::min(kKc, k - kp);
-    if (n_full > 0) {
-      // Plane layout: [ B re | B im | A re | A im ], all 64-byte aligned.
-      const size_t bplane = size_t(kc) * size_t(n_full);
-      const size_t aplane = size_t(mc) * size_t(kc);
-      float* br = buf.get(2 * bplane + 2 * aplane);
+    // Plane layout: [ B re | B im | A re | A im | A^T re | A^T im ]: B's
+    // first nb columns for both kernels, A row-major for the full column
+    // blocks and A transposed, one [kc][lanes] block per lane of rows, for
+    // the row-lane kernel.
+    const int nb = mt > 0 ? n : n_full;
+    const size_t bplane = size_t(kc) * size_t(nb);
+    const size_t aplane = n_full > 0 ? size_t(mc) * size_t(kc) : 0;
+    const size_t tplane = size_t(mt) * size_t(kc);
+    if (bplane > 0) {
+      float* br = buf.get(2 * (bplane + aplane + tplane));
       float* bi = br + bplane;
       float* ar = bi + bplane;
       float* ai = ar + aplane;
+      float* tr = ai + aplane;
+      float* ti = tr + tplane;
       Timer t;
       for (int p = 0; p < kc; ++p) {
         const cfloat* brow = b + size_t(kp + p) * n;
-        float* dr = br + size_t(p) * n_full;
-        float* di = bi + size_t(p) * n_full;
-        for (int j = 0; j < n_full; ++j) {
+        float* dr = br + size_t(p) * nb;
+        float* di = bi + size_t(p) * nb;
+        for (int j = 0; j < nb; ++j) {
           dr[j] = round ? bf16_round(brow[j].real()) : brow[j].real();
           di[j] = round ? bf16_round(brow[j].imag()) : brow[j].imag();
         }
       }
-      for (int i = 0; i < mc; ++i) {
+      for (int i = 0; aplane > 0 && i < mc; ++i) {
         const cfloat* arow = a + size_t(m0 + i) * k + kp;
         float* dr = ar + size_t(i) * kc;
         float* di = ai + size_t(i) * kc;
@@ -322,26 +492,32 @@ void simd_rows(const TierKernels& tk, Precision prec, int m0, int m1, int n, int
           di[p] = round ? bf16_round(arow[p].imag()) : arow[p].imag();
         }
       }
+      for (int i = 0; i < mt; i += lanes)
+        tk.pack_t(kc, a + size_t(m0 + i) * k + kp, k, tr + size_t(i) * kc, ti + size_t(i) * kc);
+      for (size_t e = 0; round && e < 2 * tplane; ++e) tr[e] = bf16_round(tr[e]);
       if (ps != nullptr) {
         ps->ns += t.seconds() * 1e9;
-        ps->bytes += double(2 * bplane + 2 * aplane) * sizeof(float);
+        ps->bytes += double(2 * (bplane + aplane + tplane)) * sizeof(float);
         ps->packs += 1;
       }
       for (int jb = 0; jb < n_full; jb += lanes) {
         int i = 0;
         for (; i + 4 <= mc; i += 4)
-          tk.micro4(kc, ar + size_t(i) * kc, ai + size_t(i) * kc, kc, br + jb, bi + jb, n_full,
+          tk.micro4(kc, ar + size_t(i) * kc, ai + size_t(i) * kc, kc, br + jb, bi + jb, nb,
                     c + size_t(m0 + i) * n + jb, n);
         for (; i < mc; ++i)
-          tk.micro1(kc, ar + size_t(i) * kc, ai + size_t(i) * kc, br + jb, bi + jb, n_full,
+          tk.micro1(kc, ar + size_t(i) * kc, ai + size_t(i) * kc, br + jb, bi + jb, nb,
                     c + size_t(m0 + i) * n + jb);
       }
+      for (int i = 0; i < mt; i += lanes)
+        tk.rowlane(kc, tr + size_t(i) * kc, ti + size_t(i) * kc, br + n_full, bi + n_full, nb, nr,
+                   c + size_t(m0 + i) * n + n_full, n);
     }
-    if (n_full < n) {
+    if (nr > 0 && mt < mc) {
       if (round)
-        scalar_panel<true>(m0, m1, n_full, n, kc, a + kp, k, b + size_t(kp) * n, n, c, n);
+        scalar_panel<true>(m0 + mt, m1, n_full, n, kc, a + kp, k, b + size_t(kp) * n, n, c, n);
       else
-        scalar_panel<false>(m0, m1, n_full, n, kc, a + kp, k, b + size_t(kp) * n, n, c, n);
+        scalar_panel<false>(m0 + mt, m1, n_full, n, kc, a + kp, k, b + size_t(kp) * n, n, c, n);
     }
   }
 }

@@ -18,8 +18,12 @@
 //   * after each panel: c.real += cr; c.imag += ci.
 // Vectorizing across j columns computes independent per-element chains in
 // lanes — it never reassociates one element's chain — so the tile grid and
-// lane width are free while the bits stay pinned. Column/row tails that
-// don't fill a lane run the same chain in scalar code.
+// lane width are free while the bits stay pinned. The columns past the last
+// full lane (n_full..n, all of them when n < lanes) run ROW-LANE on x86:
+// lanes across a block of `lanes` rows, A's K panel packed transposed, each
+// B[p][j] broadcast — again one independent chain per lane, with the panel
+// partial added (never stored) into C. Rows below a full lane block, and
+// every tail on NEON and portable, run the same chain in scalar code.
 //
 // MIXED PRECISION (bf16 operands, fp32 accumulation): operands are rounded
 // to bfloat16 (round-to-nearest-even) on load/pack and the identical fp32
@@ -67,7 +71,9 @@ inline float bf16_round(float v) {
   return v;
 }
 
-// B-panel packing accounting (the staging copy a discrete device would make
+// Panel packing accounting: the B and A planes of the lane-wide kernels
+// and the ragged-B and transposed-A planes of the row-lane kernel, timed
+// once per K panel (the staging copy a discrete device would make
 // explicit; the "simd" backend reports it as to-device traffic).
 struct SimdPackStats {
   double bytes = 0;
@@ -78,7 +84,7 @@ struct SimdPackStats {
 // C = A · B, row-major, C overwritten — exec::cgemm's shape and, for
 // Precision::kFp32, exec::cgemm's bits. `pool` parallelizes over row panels
 // with the reference kernel's exact threshold and chunking. `pack`
-// (optional) accumulates B-panel packing traffic across workers.
+// (optional) accumulates panel packing traffic across workers.
 void cgemm_simd(IsaTier tier, Precision prec, int m, int n, int k, const cfloat* a,
                 const cfloat* b, cfloat* c, ThreadPool* pool = nullptr,
                 SimdPackStats* pack = nullptr);

@@ -273,6 +273,37 @@ TEST(BlockedBackend, GemmPackingCountsToDeviceTraffic) {
   EXPECT_EQ(hst.bytes_to_device, 0.0);
 }
 
+TEST(SimdBackend, NarrowGemmPackingCountsToDeviceTraffic) {
+  // 64x4x32: n = 4 fills no avx2/avx512 lane, so the row-lane kernel packs
+  // the ragged B columns and A transposed, re and im planes of floats. NEON
+  // (4 lanes) packs the same planes for its one full column block; the
+  // portable tier packs nothing.
+  const int m = 64, n = 4, k = 32;
+  auto a = random_buf(size_t(m) * k, 17);
+  auto b = random_buf(size_t(k) * n, 18);
+  std::vector<cfloat> c(size_t(m) * n);
+  DeviceStats st;
+  make_backend("simd")->gemm(m, n, k, a.data(), b.data(), c.data(), nullptr, &st);
+  const bool vector_tier = cpu_probe().active != exec::IsaTier::kPortable;
+  const double planes = 2.0 * (double(k) * n + double(m) * k) * sizeof(float);
+  EXPECT_EQ(st.bytes_to_device, vector_tier ? planes : 0.0);
+  EXPECT_EQ(st.uploads, vector_tier ? 1u : 0u);
+  // Kernel level, every compiled vector tier: two K panels (256 + 44) are
+  // two timed packs, not one per 16- or 8-row block.
+  const int k2 = 300;
+  auto a2 = random_buf(size_t(m) * k2, 19);
+  auto b2 = random_buf(size_t(k2) * n, 20);
+  for (exec::IsaTier tier : exec::compiled_isa_tiers()) {
+    if (tier == exec::IsaTier::kPortable) continue;
+    exec::SimdPackStats ps;
+    exec::cgemm_simd(tier, exec::Precision::kFp32, m, n, k2, a2.data(), b2.data(), c.data(),
+                     nullptr, &ps);
+    EXPECT_EQ(ps.bytes, 2.0 * (double(k2) * n + double(m) * k2) * sizeof(float))
+        << exec::isa_name(tier);
+    EXPECT_EQ(ps.packs, 2u) << exec::isa_name(tier);
+  }
+}
+
 TEST(BlockedBackend, PermuteBitwiseIdenticalToHost) {
   auto host = make_backend("host");
   auto blocked = make_backend("blocked");

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -136,6 +137,61 @@ TEST(KernelsParityFp32, ParallelMatchesAcrossPoolWidths) {
       cgemm_simd(tier, Precision::kFp32, m, n, k, a.data(), b.data(), got.data(), &pool);
       ASSERT_TRUE(same_bits(want.data(), got.data(), want.size()))
           << isa_name(tier) << " workers=" << workers;
+    }
+  }
+}
+
+// --- row-lane path: ragged columns of tall, narrow GEMMs -------------------
+
+// Columns that do not fill a lane run with lanes across rows once a chunk
+// holds a full lane block of rows. Every shape here is checked at fp32
+// against cgemm and at bf16 against the portable mixed chain, serial and
+// through a 3-worker pool (row chunks of m/3 — not lane multiples).
+TEST(KernelsParityRowLane, TallNarrowBitwiseSerialAndPooled) {
+  ThreadPool pool(3);
+  uint64_t seed = 20000;
+  for (IsaTier tier : vector_tiers()) {
+    const int lanes = int(isa_lanes(tier));
+    for (int m : {lanes - 1, lanes, lanes + 1, 2 * lanes + 3, 512, 1024})
+      for (int n : {1, 2, 3, 4, 8, lanes - 1, lanes + 1, 2 * lanes + 3})
+        for (int k : {1, 8, 16, 255, 256, 257}) {
+          auto a = random_buf(size_t(m) * k, seed++);
+          auto b = random_buf(size_t(k) * n, seed++);
+          AlignedCfloatVec want(size_t(m) * n), got(size_t(m) * n);
+          for (Precision prec : {Precision::kFp32, Precision::kBf16}) {
+            if (prec == Precision::kFp32)
+              cgemm(m, n, k, a.data(), b.data(), want.data());
+            else
+              cgemm_mixed(m, n, k, a.data(), b.data(), want.data());
+            for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+              cgemm_simd(tier, prec, m, n, k, a.data(), b.data(), got.data(), p);
+              ASSERT_TRUE(same_bits(want.data(), got.data(), want.size()))
+                  << isa_name(tier) << " " << precision_name(prec) << (p ? " pooled" : " serial")
+                  << " m=" << m << " n=" << n << " k=" << k;
+            }
+          }
+        }
+  }
+}
+
+// Every per-step real term is -0.0 (-0 * 1 - 0 * 0). The chain starts its
+// accumulators at +0.0 and adds each panel partial into C, so every output
+// is +0.0. Under round-to-nearest a sum is -0.0 only when both addends are,
+// so a panel partial itself is never -0.0; what this pins is the pair of
+// shortcuts a row-lane kernel could take: seeding its accumulators with
+// the first term and storing the partial over C leaves -0.0.
+TEST(KernelsParityRowLane, NegativeZeroTermsSumToPositiveZero) {
+  for (IsaTier tier : vector_tiers()) {
+    const int lanes = int(isa_lanes(tier));
+    const int m = 2 * lanes, n = 3;
+    for (int k : {1, 257}) {
+      AlignedCfloatVec a(size_t(m) * k, cfloat(-0.f, 0.f)), b(size_t(k) * n, cfloat(1.f, 0.f));
+      AlignedCfloatVec want(size_t(m) * n), got(size_t(m) * n, cfloat(-1.f, -1.f));
+      cgemm(m, n, k, a.data(), b.data(), want.data());
+      cgemm_simd(tier, Precision::kFp32, m, n, k, a.data(), b.data(), got.data());
+      ASSERT_TRUE(same_bits(want.data(), got.data(), want.size())) << isa_name(tier);
+      for (const cfloat& v : got)
+        ASSERT_FALSE(std::signbit(v.real()) || std::signbit(v.imag())) << isa_name(tier);
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -169,6 +170,29 @@ TEST(PermuteMap, SubsetPermGathersLikeFixedAll) {
 TEST(PermutationBetween, ThrowsOnNonPermutation) {
   EXPECT_THROW(permutation_between({1, 2, 3}, {1, 2, 4}), std::invalid_argument);
   EXPECT_THROW(permutation_between({1, 2, 3}, {1, 2}), std::invalid_argument);
+}
+
+TEST(PermuteMap, ThrowsAboveRank31NamingTheRank) {
+  // Swap the two leading axes: the other rank - 2 axes form one block, so
+  // the rank-31 map has 4 entries and builds cheaply.
+  auto swap_leading = [](int rank) {
+    std::vector<int> perm(size_t(rank), 0);
+    std::iota(perm.begin(), perm.end(), 0);
+    std::swap(perm[0], perm[1]);
+    return perm;
+  };
+  const PermuteMap widest(swap_leading(31), 31);
+  EXPECT_EQ(widest.map_entries(), 4u);
+  EXPECT_EQ(widest.map_data()[1], uint32_t(1) << 30);
+  for (int rank : {32, 33, 40}) {
+    try {
+      PermuteMap(swap_leading(rank), rank);
+      ADD_FAILURE() << "rank " << rank << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rank " + std::to_string(rank)), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(PermuteStats, ReportsElementCount) {
