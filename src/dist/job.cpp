@@ -5,6 +5,7 @@
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -13,12 +14,22 @@
 
 namespace ltns::dist {
 
+namespace {
+
+void set_nodelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+}  // namespace
+
 void put_job(ByteWriter& w, const Job& j) {
   w.put<uint64_t>(j.job_id);
   w.put_string(j.circuit_text);
   w.put_string(j.bits);
-  w.put<double>(j.target_log2size);
-  w.put<uint64_t>(j.plan_seed);
+  w.put<uint64_t>(j.plan.size());  // v9
+  w.put_bytes(j.plan.data(), j.plan.size());
+  w.put_string(j.run_id);
   w.put<uint32_t>(j.executor);
   w.put<uint64_t>(j.grain);
   w.put<int32_t>(j.workers);
@@ -36,8 +47,11 @@ Job get_job(ByteReader& r) {
   j.job_id = r.get<uint64_t>();
   j.circuit_text = r.get_string();
   j.bits = r.get_string();
-  j.target_log2size = r.get<double>();
-  j.plan_seed = r.get<uint64_t>();
+  const auto plan_len = r.get<uint64_t>();  // v9
+  if (plan_len > r.remaining()) throw std::runtime_error("dist wire: truncated plan");
+  j.plan.resize(size_t(plan_len));
+  r.get_bytes(j.plan.data(), j.plan.size());
+  j.run_id = r.get_string();
   j.executor = r.get<uint32_t>();
   j.grain = r.get<uint64_t>();
   j.workers = r.get<int32_t>();
@@ -47,6 +61,8 @@ Job get_job(ByteReader& r) {
   j.backend = r.get_string();
   j.trace = r.get<uint32_t>();
   const auto nq = r.get<uint64_t>();  // v6
+  if (nq > r.remaining() / sizeof(int32_t))
+    throw std::runtime_error("dist wire: open-qubit count exceeds payload");
   j.open_qubits.reserve(size_t(nq));
   for (uint64_t i = 0; i < nq; ++i) j.open_qubits.push_back(r.get<int32_t>());
   return j;
@@ -88,6 +104,19 @@ JobSpec get_job_spec(ByteReader& r) {
   s.amp_mode = r.get_string();
   s.precision = r.get_string();  // v7
   return s;
+}
+
+std::string bit_text(const std::vector<int>& bits) {
+  std::string t;
+  t.reserve(bits.size());
+  for (int b : bits) t += b != 0 ? '1' : '0';
+  return t;
+}
+
+std::string open_text(const std::vector<int>& open_qubits) {
+  std::string t;
+  for (int q : open_qubits) t += std::to_string(q) + ",";
+  return t;
 }
 
 const char* job_state_name(JobState s) {
@@ -224,6 +253,20 @@ JobResultRecord get_result_record(ByteReader& r) {
   return rec;
 }
 
+std::unique_ptr<Prepared> lower_job(const circuit::Circuit& c, const std::vector<int>& bits,
+                                    const std::vector<int>& open_qubits) {
+  circuit::LoweringOptions lo;
+  lo.output_bits = bits;
+  lo.open_qubits = open_qubits;
+  // The network must reach its FINAL address before a plan is built over
+  // it: the contraction tree keeps a raw pointer to it, and a later move
+  // of the Prepared would leave that pointer dangling.
+  auto p = std::make_unique<Prepared>();
+  p->lowered = circuit::lower(c, lo);
+  circuit::simplify(p->lowered);
+  return p;
+}
+
 std::unique_ptr<Prepared> prepare_job(const circuit::Circuit& c, const std::vector<int>& bits,
                                       double target, uint64_t seed,
                                       const std::vector<int>& open_qubits) {
@@ -236,25 +279,12 @@ std::unique_ptr<Prepared> prepare_job(const circuit::Circuit& c, const std::stri
                                       cache::PlanCache* plan_cache, bool* from_cache,
                                       const std::vector<int>& open_qubits) {
   if (from_cache != nullptr) *from_cache = false;
-  circuit::LoweringOptions lo;
-  lo.output_bits = bits;
-  lo.open_qubits = open_qubits;
-  // The network must reach its FINAL address before make_plan runs: the
-  // contraction tree keeps a raw pointer to it, and a later move of the
-  // Prepared would leave that pointer dangling.
-  auto p = std::make_unique<Prepared>();
-  p->lowered = circuit::lower(c, lo);
-  circuit::simplify(p->lowered);
+  auto p = lower_job(c, bits, open_qubits);
   core::PlanOptions po;
   po.target_log2size = target;
   po.seed = seed;
   if (plan_cache != nullptr && plan_cache->enabled()) {
-    std::string bit_text;
-    bit_text.reserve(bits.size());
-    for (int b : bits) bit_text += b != 0 ? '1' : '0';
-    std::string open_text;
-    for (int q : open_qubits) open_text += std::to_string(q) + ",";
-    const auto key = cache::plan_key(circuit_text, bit_text, open_text, po);
+    const auto key = cache::plan_key(circuit_text, bit_text(bits), open_text(open_qubits), po);
     if (plan_cache->lookup(key, p->lowered.net, &p->plan)) {
       if (from_cache != nullptr) *from_cache = true;
       return p;
@@ -328,6 +358,13 @@ int connect_to(const std::string& host, uint16_t port, int attempts) {
     }
   }
   ::freeaddrinfo(ai);
+  if (fd >= 0) set_nodelay(fd);
+  return fd;
+}
+
+int accept_from(int listen_fd) {
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd >= 0) set_nodelay(fd);
   return fd;
 }
 

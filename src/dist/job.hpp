@@ -1,9 +1,10 @@
 // The shared job vocabulary of the TCP drivers: the kJob payload every
-// worker replans from, the client-facing JobSpec/JobResultRecord payloads
-// of the multi-tenant job server (dist/server.hpp), and the socket/plan
-// helpers all of service.cpp, server.cpp and client.cpp need. Factored out
-// of service.cpp's anonymous namespace when the job server arrived — there
-// must be exactly ONE definition of "what a job is on the wire".
+// worker builds its contraction from, the client-facing
+// JobSpec/JobResultRecord payloads of the multi-tenant job server
+// (dist/server.hpp), and the socket/plan helpers all of service.cpp,
+// server.cpp and client.cpp need. Factored out of service.cpp's anonymous
+// namespace when the job server arrived — there must be exactly ONE
+// definition of "what a job is on the wire".
 #pragma once
 
 #include <cstdint>
@@ -21,14 +22,19 @@
 
 namespace ltns::dist {
 
-// One job = everything a worker needs to reproduce the coordinator's plan
+// One job = everything a worker needs to rebuild the coordinator's plan
 // and run the leases it is handed for it.
 struct Job {
   uint64_t job_id = 0;  // v5: job-server routing key; 0 for one-shot runs
   std::string circuit_text;
   std::string bits;  // '0'/'1' per qubit
-  double target_log2size = 16;
-  uint64_t plan_seed = 0;
+  // v9: the coordinator's resolved plan (cache::encode_plan) and its
+  // dist::run_fingerprint. A worker lowers the circuit itself and decodes
+  // the plan over it — it never runs the planner — then checks |S| and the
+  // fingerprint, so a blob that does not fit is an error, not a different
+  // contraction. Empty for forked workers, which inherit the plan.
+  std::vector<uint8_t> plan;
+  std::string run_id;
   uint32_t executor = 0;
   uint64_t grain = 1;
   int32_t workers = 0;
@@ -46,6 +52,13 @@ struct Job {
 
 void put_job(ByteWriter& w, const Job& j);
 Job get_job(ByteReader& r);
+
+// The canonical key preimage forms the Simulator hashes ('0'/'1' bit text,
+// "q0,q1," open text) into cache keys and run fingerprints — a plan or
+// batch the server computes must be addressable by a solo run pointed at
+// the same --cache-dir, and a worker must fingerprint what the server did.
+std::string bit_text(const std::vector<int>& bits);
+std::string open_text(const std::vector<int>& open_qubits);
 
 // What a client submits: the circuit + plan knobs plus the scheduling
 // identity (tenant, weight, priority) the server's fair-share queue keys
@@ -125,7 +138,7 @@ RebalanceStats get_rebalance(ByteReader& r);
 void put_run_telemetry(ByteWriter& w, const api::RunTelemetry& t);
 api::RunTelemetry get_run_telemetry(ByteReader& r);
 
-// The deterministic plan both sides derive independently from the job spec.
+// The deterministic plan the coordinator derives from the job spec.
 // This MUST mirror api::Simulator's prepare pipeline (lower -> simplify ->
 // make_plan with default options beyond target/seed) — the documented
 // bitwise comparability of `coordinate` vs `amp` depends on it, and the CI
@@ -135,9 +148,13 @@ struct Prepared {
   circuit::LoweredNetwork lowered;
   core::Plan plan;
 };
+// The front half of prepare_job: lowers `c` (with `open_qubits` open) and
+// simplifies it; `plan` stays empty. Workers decode the kJob plan over it.
 // Heap-allocated on purpose: the plan's ContractionTree stores a raw
 // pointer to `lowered.net`, so a Prepared must never move after planning.
 // Returning unique_ptr keeps the pointee at one address for its lifetime.
+std::unique_ptr<Prepared> lower_job(const circuit::Circuit& c, const std::vector<int>& bits,
+                                    const std::vector<int>& open_qubits = {});
 std::unique_ptr<Prepared> prepare_job(const circuit::Circuit& c, const std::vector<int>& bits,
                                       double target, uint64_t seed,
                                       const std::vector<int>& open_qubits = {});
@@ -177,6 +194,11 @@ void send_error(int fd, const std::string& msg);
 // attempt (a stale first A record must not mask a working one) and
 // retrying every 500 ms up to `attempts` times so callers may start
 // before their peer. Returns -1 when nothing answered.
+// Both TCP ends set TCP_NODELAY: the protocol is request/reply with small
+// frames, which Nagle would hold back until the peer's delayed ACK.
 int connect_to(const std::string& host, uint16_t port, int attempts);
+
+// Accepts one connection on `listen_fd` (TCP_NODELAY set); -1 on failure.
+int accept_from(int listen_fd);
 
 }  // namespace ltns::dist

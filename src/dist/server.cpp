@@ -102,22 +102,6 @@ ByteReader open_state_payload(const std::vector<uint8_t>& bytes) {
   return r;
 }
 
-// The canonical key preimage forms the Simulator hashes ('0'/'1' bit
-// text, "q0,q1," open text) — a batch the server computes must be
-// addressable by a solo run pointed at the same --cache-dir.
-std::string bit_text(const std::vector<int>& bits) {
-  std::string t;
-  t.reserve(bits.size());
-  for (int b : bits) t += b != 0 ? '1' : '0';
-  return t;
-}
-
-std::string open_text(const std::vector<int>& open_qubits) {
-  std::string t;
-  for (int q : open_qubits) t += std::to_string(q) + ",";
-  return t;
-}
-
 // plan_spec's body, shared with query children: plans `bits` of the
 // spec's circuit with `open_qubits` left open.
 SpecPlan plan_bits(const JobSpec& s, const circuit::Circuit& circ, const std::vector<int>& bits,
@@ -137,8 +121,7 @@ SpecPlan plan_bits(const JobSpec& s, const circuit::Circuit& circ, const std::ve
   j.circuit_text = s.circuit_text;
   j.bits = bit_text(bits);
   j.open_qubits = open_qubits;
-  j.target_log2size = s.target_log2size;
-  j.plan_seed = s.plan_seed;
+  j.plan = cache::encode_plan(plan);
   j.executor = opt.executor;
   j.grain = opt.grain;
   j.workers = opt.workers_per_process;
@@ -148,6 +131,7 @@ SpecPlan plan_bits(const JobSpec& s, const circuit::Circuit& circ, const std::ve
   j.backend = job_backend_spec(opt.backend, s);
   out.run_id = run_fingerprint(s.circuit_text, j.bits, open_text(open_qubits), s.fused != 0,
                                s.ldm_elems, plan.path, plan.slices.to_vector());
+  j.run_id = out.run_id;
   return out;
 }
 
@@ -505,7 +489,9 @@ struct JobServer::Impl {
     }
     SpecPlan sp;
     try {
+      obs::TraceScope tr(obs::EventKind::kPlan, j.id);
       sp = plan_spec(j.spec, opt, plan_cache.get());
+      tr.set_args(j.id, uint64_t(sp.job.num_slices), 0);
     } catch (const std::exception& e) {
       fail_job(j, std::string("planning failed: ") + e.what());
       return;
@@ -633,8 +619,10 @@ struct JobServer::Impl {
     c.spec.name = parent.spec.name + "#g" + std::to_string(parent.next_group);
     SpecPlan sp;
     try {
+      obs::TraceScope tr(obs::EventKind::kPlan, id);
       sp = plan_bits(parent.spec, parent.qcircuit, g.base_bits, g.open_qubits, opt,
                      plan_cache.get());
+      tr.set_args(id, uint64_t(sp.job.num_slices), 0);
     } catch (const std::exception& e) {
       fail_job(parent,
                "group " + std::to_string(parent.next_group) + " planning failed: " + e.what());
@@ -670,6 +658,7 @@ struct JobServer::Impl {
     c.ledger.reset();
     c.merger.reset();
     c.worker_tel.clear();
+    end_job_on_workers(c.id);
     if (pit == jobs.end() || terminal(pit->second.state)) {
       c.prepared.reset();  // parent gone (cancelled): drop the work
       return;
@@ -909,6 +898,7 @@ struct JobServer::Impl {
       j.journal.reset();
       j.prepared.reset();
       j.worker_tel.clear();
+      end_job_on_workers(j.id);
       auto pit = jobs.find(j.parent);
       if (pit != jobs.end() && !terminal(pit->second.state)) {
         pit->second.child = 0;
@@ -966,6 +956,7 @@ struct JobServer::Impl {
     }
     j.prepared.reset();
     j.worker_tel.clear();
+    end_job_on_workers(j.id);
     // A terminal query parent takes its running child down with it: the
     // child's machinery drops so in-flight worker frames become clean late
     // drops, exactly like a cancelled classic job.
@@ -977,6 +968,7 @@ struct JobServer::Impl {
         cit->second.merger.reset();
         cit->second.prepared.reset();
         cit->second.worker_tel.clear();
+        end_job_on_workers(j.child);
       }
       j.child = 0;
     }
@@ -995,6 +987,21 @@ struct JobServer::Impl {
       ::close(p.fd);
       p.fd = -1;
       p.finished = true;
+    }
+  }
+
+  // Tells every worker holding job `id`'s kJob to drop its context. The job
+  // is terminal, so no lease of it follows; a worker that died meanwhile
+  // shows up as EOF on the next poll.
+  void end_job_on_workers(uint64_t id) {
+    ByteWriter w;
+    w.put<uint64_t>(id);
+    for (auto& p : peers) {
+      if (p.fd < 0 || p.jobs_sent.erase(id) == 0) continue;
+      try {
+        write_frame(p.fd, FrameType::kJobEnd, w);
+      } catch (...) {
+      }
     }
   }
 
@@ -1586,7 +1593,7 @@ struct JobServer::Impl {
         o << ",\"utilization_ema\":" << u.ema_utilization << ",\"tasks_run\":" << u.tasks_run
           << ",\"device_bytes\":" << u.device_bytes << ",\"device_ns\":" << u.device_ns
           << ",\"device_bytes_per_ns\":" << (u.device_ns > 0 ? u.device_bytes / u.device_ns : 0)
-          << ",\"wall_seconds\":" << u.wall_seconds;
+          << ",\"wall_seconds\":" << u.wall_seconds << ",\"jobs_held\":" << u.jobs_held;
       }
       o << "}";
       first = false;
@@ -1605,7 +1612,7 @@ struct JobServer::Impl {
   // --- main loop -----------------------------------------------------------
 
   void accept_peer() {
-    int fd = ::accept(listen_fd, nullptr, nullptr);
+    int fd = accept_from(listen_fd);
     if (fd < 0) return;
     set_rcv_timeout(fd, goodbye_timeout());
     Peer p;

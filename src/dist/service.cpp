@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include "dist/worker.hpp"
+#include "obs/trace.hpp"
 
 namespace ltns::dist {
 
@@ -14,7 +15,10 @@ CoordinatedAmplitude coordinate(JobServer& engine, const JobSpec& spec,
   CoordinatedAmplitude res;
   SpecPlan sp;
   try {
+    // The engine has not numbered the job yet: the span says job 0.
+    obs::TraceScope tr(obs::EventKind::kPlan);
     sp = plan_spec(spec, engine.options());
+    tr.set_args(0, uint64_t(sp.job.num_slices), 0);
   } catch (const std::exception& e) {
     res.run.error = std::string("planning failed: ") + e.what();
     return res;

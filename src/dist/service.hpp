@@ -8,10 +8,11 @@
 // merge order and wire format are shared with the local fork runner, so
 // the amplitude is bitwise identical to a single-process run.
 //
-// Each worker re-plans from the circuit text with the job's options; the
-// planner is deterministic, so every process derives the same contraction
-// tree and slice set (workers cross-check |S| and reject mismatches).
-// Peers must run the same binary on the same architecture — the wire
+// Workers never run the planner: each kJob carries the coordinator's
+// encoded plan, which a worker decodes over its own lowering of the
+// circuit and cross-checks (|S| and the run fingerprint) before running a
+// lease — so every process contracts the same tree and slice set. Peers
+// must run the same binary on the same architecture — the wire
 // format ships raw IEEE bit patterns (see wire.hpp).
 #pragma once
 

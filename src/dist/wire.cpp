@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "obs/trace.hpp"
@@ -30,16 +31,21 @@ static_assert(sizeof(FrameHeader) == 16, "frame header layout is wire ABI");
   throw std::runtime_error(std::string("dist wire: ") + what + ": " + std::strerror(errno));
 }
 
-void write_exact(int fd, const void* buf, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(buf);
+// Writes every byte of `iov[0..n)`, resuming after partial writes (a
+// large payload overruns the socket buffer; the reader drains it).
+void writev_exact(int fd, iovec* iov, int n) {
   while (n > 0) {
-    ssize_t k = ::write(fd, p, n);
+    ssize_t k = ::writev(fd, iov, n);
     if (k < 0) {
       if (errno == EINTR) continue;
       fail_errno("write");
     }
-    p += k;
-    n -= size_t(k);
+    auto done = size_t(k);
+    for (; n > 0 && done >= iov->iov_len; --n, ++iov) done -= iov->iov_len;
+    if (n > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
 }
 
@@ -68,8 +74,8 @@ bool read_exact(int fd, void* buf, size_t n, bool eof_ok) {
 void write_frame(int fd, FrameType type, const void* payload, size_t size) {
   obs::TraceScope tr(obs::EventKind::kWireSend, uint64_t(type), sizeof(FrameHeader) + size);
   FrameHeader h{kWireMagic, kWireVersion, host_endian(), uint8_t(type), uint64_t(size)};
-  write_exact(fd, &h, sizeof(h));
-  if (size > 0) write_exact(fd, payload, size);
+  iovec iov[2] = {{&h, sizeof(h)}, {const_cast<void*>(payload), size}};
+  writev_exact(fd, iov, size > 0 ? 2 : 1);
 }
 
 bool read_frame(int fd, Frame* out) {
@@ -288,6 +294,7 @@ void put_pulse(ByteWriter& w, const WorkerPulse& p) {
   w.put<double>(p.device_bytes);
   w.put<double>(p.device_ns);
   w.put<double>(p.wall_seconds);
+  w.put<uint64_t>(p.jobs_held);
 }
 
 WorkerPulse get_pulse(ByteReader& r) {
@@ -298,6 +305,7 @@ WorkerPulse get_pulse(ByteReader& r) {
   p.device_bytes = r.get<double>();
   p.device_ns = r.get<double>();
   p.wall_seconds = r.get<double>();
+  p.jobs_held = r.get<uint64_t>();
   return p;
 }
 

@@ -65,7 +65,12 @@ inline constexpr uint32_t kWireMagic = 0x4C544E53u;  // "LTNS"
 //     hands out kJobLease, and takes per-worker telemetry from kRangeDone.
 //     Job lost its fixed-window, mode and heartbeat fields (kWelcome
 //     carries the heartbeat period).
-inline constexpr uint16_t kWireVersion = 8;
+// v9: workers run the coordinator's plan instead of re-planning. Job
+//     carries the encoded plan (cache::encode_plan) and its run
+//     fingerprint in place of the target/seed plan knobs; kJobEnd tells a
+//     worker to drop a finished job's context; WorkerPulse grew jobs_held.
+//     Every frame goes out in one writev.
+inline constexpr uint16_t kWireVersion = 9;
 
 // Header endianness markers; read_frame rejects a frame whose marker does
 // not match the host's.
@@ -84,7 +89,7 @@ inline uint8_t host_endian() {
 // and 8 belonged to frames removed in v8.
 enum class FrameType : uint8_t {
   kHello = 1,          // worker -> coordinator: wants to join
-  kJob = 2,            // coordinator -> worker: circuit + plan options
+  kJob = 2,            // coordinator -> worker: circuit + encoded plan
   kDone = 5,           // worker -> coordinator: drained cleanly
   kError = 6,          // either direction: human-readable failure
   kLeaseRequest = 7,   // worker -> coordinator: idle, wants a range
@@ -108,7 +113,9 @@ enum class FrameType : uint8_t {
   // Every coordinator speaks these to its workers:
   kWelcome = 24,   // coordinator -> worker: {worker_id, heartbeat period}
   kJobLease = 25,  // coordinator -> worker: {job_id, lease id, first, count};
-                   //   the worker plans unseen job ids from their kJob
+                   //   the worker builds unseen job ids from their kJob
+  kJobEnd = 26,    // coordinator -> worker: {job_id} finished, failed or
+                   //   cancelled; the worker drops that job's context
 };
 
 // --- payload (de)serialization -------------------------------------------
@@ -150,6 +157,7 @@ class ByteReader {
   }
   void get_bytes(void* out, size_t n) {
     if (size_t(end_ - p_) < n) throw std::runtime_error("dist wire: truncated payload");
+    if (n == 0) return;  // nothing to copy (and out may be null)
     std::memcpy(out, p_, n);
     p_ += n;
   }
@@ -200,6 +208,7 @@ struct WorkerPulse {
   double device_bytes = 0;      // total transfer bytes (both directions)
   double device_ns = 0;         // total transfer wall-ns
   double wall_seconds = 0;      // time since the worker started computing
+  uint64_t jobs_held = 0;       // job contexts the worker keeps (v9)
 };
 
 void put_tensor(ByteWriter& w, const exec::Tensor& t);
@@ -239,8 +248,10 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
-// Writes one frame; throws std::runtime_error on a write error (EPIPE when
-// the peer died — callers ignore SIGPIPE).
+// Writes one frame, header and payload in one writev (two writes on a
+// TCP socket would leave the payload to Nagle and the peer's delayed ACK);
+// throws std::runtime_error on a write error (EPIPE when the peer died —
+// callers ignore SIGPIPE).
 void write_frame(int fd, FrameType type, const void* payload, size_t size);
 inline void write_frame(int fd, FrameType type, const ByteWriter& w) {
   write_frame(fd, type, w.buffer().data(), w.buffer().size());

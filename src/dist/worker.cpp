@@ -1,7 +1,9 @@
 #include "dist/worker.hpp"
 
+#include "cache/cache.hpp"
 #include "circuit/io.hpp"
 #include "device/backend.hpp"
+#include "dist/checkpoint.hpp"
 #include "dist/shard_plan.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -58,12 +60,12 @@ exec::Tensor reduce_block(const AlignedBlock& block, const InheritedPlan& plan,
   return std::move(r.accumulated);
 }
 
-// Everything a worker keeps per job id: the planned contraction, a
+// Everything a worker keeps per job id: the contraction it runs, a
 // worker-local backend instance, and the cumulative telemetry it ships with
 // every kRangeDone.
 struct WorkerJobCtx {
-  std::unique_ptr<Prepared> prepared;  // replanned jobs only
-  exec::FusedPlan fused_plan;          // replanned fused jobs only
+  std::unique_ptr<Prepared> prepared;  // decoded jobs only
+  exec::FusedPlan fused_plan;          // decoded fused jobs only
   InheritedPlan plan;                  // what the block loop runs
   std::unique_ptr<device::DeviceBackend> backend;
   std::string backend_name;
@@ -72,6 +74,38 @@ struct WorkerJobCtx {
   ShardTelemetry tel;
 };
 
+// Rebuilds the coordinator's plan from the kJob: lowers the circuit and
+// decodes the plan blob over it (the planner never runs here). A blob
+// that does not decode, or decodes to another |S| or fingerprint than the
+// coordinator stamped, would run a different contraction than the one
+// merged — it is an error.
+void decode_job_plan(const Job& job, WorkerJobCtx* ctx) {
+  std::vector<int> bits;
+  bits.reserve(job.bits.size());
+  for (char ch : job.bits) bits.push_back(ch == '1');
+  ctx->prepared = lower_job(circuit::circuit_from_string(job.circuit_text), bits, job.open_qubits);
+  core::Plan& plan = ctx->prepared->plan;
+  if (!cache::decode_plan(job.plan, ctx->prepared->lowered.net, &plan))
+    throw std::runtime_error("plan blob (" + std::to_string(job.plan.size()) +
+                             " bytes) does not fit the lowered network");
+  if (plan.num_slices() != int(job.num_slices))
+    throw std::runtime_error("plan mismatch: decoded |S| = " + std::to_string(plan.num_slices()) +
+                             ", coordinator expected " + std::to_string(job.num_slices));
+  if (run_fingerprint(job.circuit_text, job.bits, open_text(job.open_qubits), job.fused != 0,
+                      job.ldm_elems,
+                      plan.path, plan.slices.to_vector()) != job.run_id)
+    throw std::runtime_error("plan blob does not match the run fingerprint " + job.run_id);
+  ctx->plan.tree = plan.tree.get();
+  ctx->plan.leaves = [&ln = ctx->prepared->lowered](tn::VertId v) -> const exec::Tensor& {
+    return ln.tensors[size_t(v)];
+  };
+  ctx->plan.slices = &plan.slices;
+  if (job.fused != 0) {
+    ctx->fused_plan = exec::plan_fused(plan.stem, plan.slices.to_vector(), size_t(job.ldm_elems));
+    ctx->plan.fused = &ctx->fused_plan;
+  }
+}
+
 std::unique_ptr<WorkerJobCtx> plan_job(const Job& job, int worker_id,
                                        const std::string& backend_override,
                                        const InheritedPlan* inherited) {
@@ -79,24 +113,11 @@ std::unique_ptr<WorkerJobCtx> plan_job(const Job& job, int worker_id,
   if (inherited != nullptr) {
     ctx->plan = *inherited;
   } else {
-    auto circ = circuit::circuit_from_string(job.circuit_text);
-    std::vector<int> bits;
-    bits.reserve(job.bits.size());
-    for (char ch : job.bits) bits.push_back(ch == '1');
-    ctx->prepared = prepare_job(circ, bits, job.target_log2size, job.plan_seed, job.open_qubits);
-    const auto& plan = ctx->prepared->plan;
-    if (plan.num_slices() != int(job.num_slices))
-      throw std::runtime_error("plan mismatch for job " + std::to_string(job.job_id) +
-                               ": local |S| = " + std::to_string(plan.num_slices()) +
-                               ", coordinator expected " + std::to_string(job.num_slices));
-    ctx->plan.tree = plan.tree.get();
-    ctx->plan.leaves = [&ln = ctx->prepared->lowered](tn::VertId v) -> const exec::Tensor& {
-      return ln.tensors[size_t(v)];
-    };
-    ctx->plan.slices = &plan.slices;
-    if (job.fused != 0) {
-      ctx->fused_plan = exec::plan_fused(plan.stem, plan.slices.to_vector(), size_t(job.ldm_elems));
-      ctx->plan.fused = &ctx->fused_plan;
+    obs::TraceScope tr(obs::EventKind::kPlan, job.job_id, uint64_t(job.num_slices), 1);
+    try {
+      decode_job_plan(job, ctx.get());
+    } catch (const std::exception& e) {
+      throw std::runtime_error("job " + std::to_string(job.job_id) + ": " + e.what());
     }
   }
   // This worker's hardware decides the backend NAME: the override wins,
@@ -111,6 +132,14 @@ std::unique_ptr<WorkerJobCtx> plan_job(const Job& job, int worker_id,
   ctx->tel.shard = worker_id;
   ctx->tel.backend = ctx->backend_name;
   return ctx;
+}
+
+// Adds one job's cumulative counters to a worker-wide pulse sample.
+void add_job_counters(const ShardTelemetry& t, WorkerPulse* p) {
+  p->tasks_run += t.tasks_run;
+  p->leases_completed += t.leases;
+  p->device_bytes += t.executor.device.total_transfer_bytes();
+  p->device_ns += t.executor.device.ns_to_device + t.executor.device.ns_to_host;
 }
 
 // Reads until the coordinator closes its end. Exiting with anything unread
@@ -204,7 +233,11 @@ int serve_leases(int fd, const std::string& backend_override, const InheritedPla
   } guard{stop_heartbeat};
 
   try {
+    // Contexts of the jobs still live on the coordinator; kJobEnd drops
+    // one, after folding its counters into `retired` so the pulse's
+    // worker-wide totals never go backwards.
     std::map<uint64_t, std::unique_ptr<WorkerJobCtx>> ctxs;
+    WorkerPulse retired;
     std::unique_ptr<ThreadPool> pool;
     std::unique_ptr<runtime::SliceScheduler> sched;
     bool ship_trace = false;
@@ -217,13 +250,21 @@ int serve_leases(int fd, const std::string& backend_override, const InheritedPla
         send(FrameType::kLeaseRequest, w);
       }
       // Between the request and its lease, kJob frames describe jobs this
-      // worker has not planned yet.
+      // worker has not built yet, and kJobEnd frames retire finished ones.
       Frame f;
       for (;;) {
         if (!read_frame(fd, &f)) throw std::runtime_error("coordinator closed mid-run");
         if (f.type == FrameType::kError) {
           ByteReader r(f.payload);
           throw std::runtime_error("coordinator error: " + r.get_string());
+        }
+        if (f.type == FrameType::kJobEnd) {
+          ByteReader r(f.payload);
+          auto it = ctxs.find(r.get<uint64_t>());
+          if (it == ctxs.end()) continue;
+          add_job_counters(it->second->tel, &retired);
+          ctxs.erase(it);
+          continue;
         }
         if (f.type != FrameType::kJob) break;
         ByteReader jr(f.payload);
@@ -279,22 +320,17 @@ int serve_leases(int fd, const std::string& backend_override, const InheritedPla
         auto partial = reduce_block(block, ctx.plan, ro, &ctx.tel);
         {
           // Refresh the heartbeat sample with worker-wide cumulative counts
-          // (sums over every job this worker has touched).
+          // (every job this worker has touched: retired plus live ones).
+          WorkerPulse sum = retired;
+          for (const auto& [id, c] : ctxs) add_job_counters(c->tel, &sum);
           std::lock_guard<std::mutex> lock(pulse_mu);
           pulse.ema_utilization = ctx.tel.executor.ema_utilization;
-          uint64_t tasks = 0, leases = 0;
-          double bytes = 0, ns = 0;
-          for (const auto& [id, c] : ctxs) {
-            tasks += c->tel.tasks_run;
-            leases += c->tel.leases;
-            bytes += c->tel.executor.device.total_transfer_bytes();
-            ns += c->tel.executor.device.ns_to_device + c->tel.executor.device.ns_to_host;
-          }
-          pulse.tasks_run = tasks;
-          pulse.leases_completed = leases;
-          pulse.device_bytes = bytes;
-          pulse.device_ns = ns;
+          pulse.tasks_run = sum.tasks_run;
+          pulse.leases_completed = sum.leases_completed;
+          pulse.device_bytes = sum.device_bytes;
+          pulse.device_ns = sum.device_ns;
           pulse.wall_seconds = wall.seconds();
+          pulse.jobs_held = ctxs.size();
           pulse_backend = ctx.backend_name;
         }
         if (chaos.sleep_ms_per_task > 0) {

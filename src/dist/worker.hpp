@@ -14,6 +14,8 @@
 //                                  ShardMerger; the frame's cumulative
 //                                  telemetry kept
 //   kLeaseRequest -> ...           (repeat until nothing is left to run)
+//                  <- kJobEnd       (each job the worker holds, once it is
+//                                   finished, failed or cancelled)
 //                  <- kDrain
 //   [kTrace,] kDone ->             traced jobs only ship their event chunk
 //
@@ -36,8 +38,8 @@
 namespace ltns::dist {
 
 // A contraction a forked worker inherited from its parent, already planned:
-// such workers run every job they are sent over it instead of replanning
-// from the kJob text.
+// such workers run every job they are sent over it instead of decoding the
+// kJob's plan.
 struct InheritedPlan {
   const tn::ContractionTree* tree = nullptr;
   exec::LeafProvider leaves;
@@ -47,10 +49,12 @@ struct InheritedPlan {
 
 // The worker loop: says kHello on `fd`, takes its id and heartbeat period
 // from kWelcome, then requests leases until kDrain. Each job id's first
-// kJob is planned once (replanned from its text, or `inherited`), with the
-// device backend the job names unless `backend_override` picks this
-// worker's own. Every kRangeDone carries the job's cumulative telemetry; a
-// kTrace chunk ships at drain only when some kJob asked for tracing.
+// kJob is built once (its plan blob decoded over the lowered circuit, or
+// `inherited`), with the device backend the job names unless
+// `backend_override` picks this worker's own, and kept until kJobEnd. A
+// blob that does not fit is reported as a kError naming the job. Every
+// kRangeDone carries the job's cumulative telemetry; a kTrace chunk ships
+// at drain only when some kJob asked for tracing.
 // Returns 0 after a clean drain, 1 after reporting a failure as kError.
 // Reads the chaos-injection env hooks (see chaos_from_env).
 int serve_leases(int fd, const std::string& backend_override = "",

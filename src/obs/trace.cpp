@@ -40,6 +40,7 @@ const EventKindInfo kKinds[size_t(EventKind::kKindCount)] = {
     {"wire_send", "wire", "frame", "bytes", nullptr},
     {"wire_recv", "wire", "frame", "bytes", nullptr},
     {"query_group", "query", "group", "open", "members"},
+    {"plan", "plan", "job", "slices", "from_blob"},
 };
 
 thread_local void* tls_buf = nullptr;

@@ -47,6 +47,7 @@ enum class EventKind : uint16_t {
   kWireSend,          // one frame written                 args: frame_type, bytes
   kWireRecv,          // one frame read (includes waiting) args: frame_type, bytes
   kQueryGroup,        // one query-engine group answered   args: group, open, members
+  kPlan,              // a job's plan built                args: job, slices, from_blob
   kKindCount,
 };
 
@@ -62,7 +63,7 @@ static_assert(sizeof(TraceEvent) == 48, "trace event layout is the chunk ABI");
 
 struct EventKindInfo {
   const char* name;
-  const char* category;  // slice | kernel | lease | device | checkpoint | wire | query
+  const char* category;  // slice | kernel | lease | device | checkpoint | wire | query | plan
   const char* arg0;      // nullptr = unused
   const char* arg1;
   const char* arg2;

@@ -24,6 +24,9 @@
 #include <random>
 #include <thread>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -37,11 +40,13 @@
 #include "dist/shard_merge.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/wire.hpp"
+#include "dist/worker.hpp"
 #include "exec/shard_runner.hpp"
 #include "exec/slice_runner.hpp"
 #include "obs/trace.hpp"
 #include "runtime/reduction.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace ltns::dist {
 namespace {
@@ -313,6 +318,10 @@ TEST(Wire, WrongVersionFrameRejected) {
   EXPECT_NE(err.find("v" + std::to_string(kWireVersion + 1)), std::string::npos) << err;
   auto v1 = read_frame_error(make_header(kWireMagic, 1, host_endian(), FrameType::kDone, 0));
   EXPECT_NE(v1.find("version mismatch"), std::string::npos) << v1;
+  // The previous protocol: a v8 peer would send a kJob without the plan
+  // blob, so it must be refused at its first header.
+  auto v8 = read_frame_error(make_header(kWireMagic, 8, host_endian(), FrameType::kHello, 0));
+  EXPECT_NE(v8.find("peer v8, expected v9"), std::string::npos) << v8;
 }
 
 // The payload ships raw IEEE bit patterns, so a heterogeneous-endian fleet
@@ -347,6 +356,146 @@ TEST(Wire, RealV1HeaderReportsVersionMismatch) {
   auto err = read_frame_error(h);
   EXPECT_NE(err.find("version mismatch"), std::string::npos) << err;
   EXPECT_NE(err.find("peer v1"), std::string::npos) << err;
+}
+
+// A connected loopback TCP pair, both ends from the dist socket helpers.
+struct TcpPair {
+  int client = -1, server = -1;
+  TcpPair() {
+    uint16_t port = 0;
+    int lfd = listen_on(0, &port);
+    client = connect_to("127.0.0.1", port, 10);
+    server = accept_from(lfd);
+    ::close(lfd);
+  }
+  ~TcpPair() {
+    close_fd(&client);
+    close_fd(&server);
+  }
+};
+
+int nodelay(int fd) {
+  int v = -1;
+  socklen_t len = sizeof(v);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len), 0);
+  return v;
+}
+
+// Every TCP end the protocol opens turns Nagle off: the connecting side
+// (workers, clients, status probes) and the server's accepted side.
+TEST(Wire, TcpSocketsSetNoDelay) {
+  TcpPair tcp;
+  ASSERT_GE(tcp.client, 0);
+  ASSERT_GE(tcp.server, 0);
+  EXPECT_EQ(nodelay(tcp.client), 1);
+  EXPECT_EQ(nodelay(tcp.server), 1);
+}
+
+// Header and payload leave in one write: on a record-preserving socket the
+// first record holds the whole frame...
+TEST(Wire, FrameIsOneWrite) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, sv), 0);
+  ByteWriter w;
+  w.put_string("one record");
+  write_frame(sv[0], FrameType::kError, w);
+  std::vector<uint8_t> buf(1 << 12);
+  EXPECT_EQ(::recv(sv[1], buf.data(), buf.size(), MSG_DONTWAIT), ssize_t(16 + w.buffer().size()));
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
+// ...and over loopback TCP the peer reads it whole with one recv.
+TEST(Wire, FrameArrivesWholeInOneRecv) {
+  TcpPair tcp;
+  ASSERT_GE(tcp.server, 0);
+  ByteWriter w;
+  w.put_string(std::string(1000, 'x'));
+  write_frame(tcp.client, FrameType::kError, w);
+  pollfd pfd{tcp.server, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  std::vector<uint8_t> buf(1 << 16);
+  const ssize_t n = ::recv(tcp.server, buf.data(), buf.size(), MSG_DONTWAIT);
+  EXPECT_EQ(n, ssize_t(16 + w.buffer().size()));
+}
+
+// An 8 MiB tensor frame overruns the socket buffer many times while a
+// reader thread drains it. Signals keep interrupting the blocked writer
+// (no SA_RESTART), so writev returns short counts and EINTR, and the frame
+// must still arrive byte for byte.
+TEST(Wire, LargeTensorFrameRoundTripsOverPartialWrites) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::vector<int> ixs(20);
+  for (int i = 0; i < 20; ++i) ixs[size_t(i)] = i;
+  exec::Tensor t(ixs);
+  for (size_t i = 0; i < t.size(); ++i)
+    t.raw()[i] = exec::cfloat(float(i % 977) * 0.5f, -float(i % 131));
+  ByteWriter w;
+  put_tensor(w, t);
+  ASSERT_GT(w.buffer().size(), size_t(8) << 20);
+
+  struct sigaction on{}, old{};
+  on.sa_handler = [](int) {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &on, &old), 0);
+  Frame f;
+  bool got = false;
+  size_t extra = 0;  // bytes past the frame, drained until the writer closes
+  std::thread reader([&] {
+    got = read_frame(sv[1], &f);
+    char sink[4096];
+    for (ssize_t k; (k = ::read(sv[1], sink, sizeof sink)) != 0;)
+      if (k > 0) extra += size_t(k);
+      else if (errno != EINTR) break;
+  });
+  std::atomic<bool> done{false};
+  const pthread_t writer = ::pthread_self();
+  std::thread pester([&] {
+    while (!done.load()) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  write_frame(sv[0], FrameType::kLeaseBlock, w);
+  done.store(true);
+  pester.join();
+  ::close(sv[0]);
+  reader.join();
+  ::sigaction(SIGUSR1, &old, nullptr);
+  ::close(sv[1]);
+  ASSERT_TRUE(got);
+  EXPECT_EQ(extra, 0u);
+  EXPECT_EQ(f.payload, w.buffer());
+  ByteReader r(f.payload);
+  const auto back = get_tensor(r);
+  ASSERT_EQ(back.size(), t.size());
+  EXPECT_EQ(std::memcmp(back.raw(), t.raw(), t.size() * sizeof(exec::cfloat)), 0);
+}
+
+// Request/reply of small frames with payloads: with Nagle on and a write
+// per header and payload, every payload waited for the peer's delayed ACK
+// (>= 40 ms each, 8 s for 200 round trips).
+TEST(Wire, SmallRequestReplyRoundTripsDoNotStall) {
+  TcpPair tcp;
+  ASSERT_GE(tcp.server, 0);
+  constexpr int kTrips = 200;
+  std::thread echo([fd = tcp.server] {
+    Frame f;
+    for (int i = 0; i < kTrips && read_frame(fd, &f); ++i)
+      write_frame(fd, FrameType::kJobLease, f.payload.data(), f.payload.size());
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  Frame f;
+  for (int i = 0; i < kTrips; ++i) {
+    ByteWriter w;
+    w.put<int32_t>(i);
+    write_frame(tcp.client, FrameType::kLeaseRequest, w);
+    ASSERT_TRUE(read_frame(tcp.client, &f));
+    ASSERT_EQ(f.payload, w.buffer());
+  }
+  const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  echo.join();
+  EXPECT_LT(s, 2.0) << kTrips << " round trips took " << s << " s";
 }
 
 // --- elastic lease bookkeeping -------------------------------------------
@@ -1576,16 +1725,8 @@ TEST(Service, MissingWorkerTimesOutInsteadOfHanging) {
 // switched off again before returning.
 int trace_chunks_shipped(bool traced_job, bool armed_locally) {
   auto circ = test::small_rqc(3, 3, 4);
-  const std::string zeros(size_t(circ.num_qubits), '0');
-  Job job;
-  job.circuit_text = circuit::circuit_to_string(circ);
-  job.bits = zeros;
-  job.target_log2size = 8;
-  job.plan_seed = core::PlanOptions{}.seed;
-  job.workers = 1;
-  job.num_slices = int32_t(
-      prepare_job(circ, test::zero_bits(circ.num_qubits), job.target_log2size, job.plan_seed)
-          ->plan.num_slices());
+  Job job = plan_spec(amp_spec(circ, test::zero_bits(circ.num_qubits), 8), coordinate_options(1))
+                .job;
   job.trace = traced_job ? 1 : 0;
 
   uint16_t port = 0;
@@ -1593,7 +1734,7 @@ int trace_chunks_shipped(bool traced_job, bool armed_locally) {
   if (armed_locally) obs::Tracer::instance().enable(7);
   int worker_rc = -1;
   std::thread worker([&worker_rc, port] { worker_rc = serve_worker("127.0.0.1", port); });
-  int fd = ::accept(lfd, nullptr, nullptr);
+  int fd = accept_from(lfd);
   ::close(lfd);
   int chunks = 0;
   bool leased = false, done = false;
@@ -1644,6 +1785,128 @@ int trace_chunks_shipped(bool traced_job, bool armed_locally) {
 TEST(WorkerLoop, ShipsTraceChunkOnlyForTracedJobs) {
   EXPECT_EQ(trace_chunks_shipped(/*traced_job=*/true, /*armed_locally=*/false), 1);
   EXPECT_EQ(trace_chunks_shipped(/*traced_job=*/false, /*armed_locally=*/true), 0);
+}
+
+// --- hostile plan blobs -----------------------------------------------------
+
+// Plays a coordinator for one worker on a socketpair: welcomes it, answers
+// its first lease request with `job` followed by kDrain, and returns the
+// worker's kError text, or "" when it accepted the job and drained.
+std::string worker_verdict(const Job& job) {
+  int sv[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  int rc = -1;
+  std::thread worker([&rc, fd = sv[1]] { rc = serve_leases(fd); });
+  std::string verdict = "no reply";
+  Frame f;
+  while (read_frame(sv[0], &f)) {
+    if (f.type == FrameType::kHello) {
+      ByteWriter w;
+      w.put<int32_t>(0);
+      w.put<double>(0);  // no heartbeats
+      write_frame(sv[0], FrameType::kWelcome, w);
+    } else if (f.type == FrameType::kLeaseRequest) {
+      ByteWriter jw;
+      put_job(jw, job);
+      write_frame(sv[0], FrameType::kJob, jw);
+      write_frame(sv[0], FrameType::kDrain, nullptr, 0);
+    } else if (f.type == FrameType::kError) {
+      ByteReader r(f.payload);
+      verdict = r.get_string();
+      break;
+    } else if (f.type == FrameType::kDone) {
+      verdict = "";
+      break;
+    }
+  }
+  ::close(sv[0]);  // releases the worker's linger
+  worker.join();
+  ::close(sv[1]);
+  EXPECT_EQ(rc, verdict.empty() ? 0 : 1) << verdict;
+  return verdict;
+}
+
+// Bytes of an encode_plan blob before its metrics: leaf list, SSA steps
+// and sliced edges — everything that decides the contraction.
+size_t contraction_bytes(const std::vector<uint8_t>& blob) {
+  ByteReader r(blob);
+  const auto leaves = r.get<uint64_t>();
+  std::vector<uint8_t> skip(size_t(leaves) * 4);
+  r.get_bytes(skip.data(), skip.size());
+  const auto steps = r.get<uint64_t>();
+  skip.resize(size_t(steps) * 8);
+  r.get_bytes(skip.data(), skip.size());
+  const auto slices = r.get<uint64_t>();
+  return 8 + size_t(leaves) * 4 + 8 + size_t(steps) * 8 + 8 + size_t(slices) * 4;
+}
+
+// A worker rebuilds the coordinator's plan from the kJob's blob. A blob
+// that is truncated, bit-flipped or another circuit's must end in a kError
+// naming the job: never a crash, a hang, an unbounded allocation, or a
+// worker quietly running a different contraction than the one merged.
+TEST(WorkerLoop, HostilePlanBlobIsReportedNamingTheJob) {
+  auto circ = test::small_rqc(3, 3, 8, 41);
+  auto sp = plan_spec(amp_spec(circ, test::zero_bits(circ.num_qubits), 4), coordinate_options(1));
+  Job good = sp.job;
+  good.job_id = 7;
+  ASSERT_GT(good.num_slices, 0);
+  EXPECT_EQ(worker_verdict(good), "");
+
+  auto expect_rejected = [](const Job& job, const char* what) {
+    const std::string v = worker_verdict(job);
+    EXPECT_NE(v.find("job 7:"), std::string::npos) << what << ": " << v;
+  };
+  Job truncated = good;
+  truncated.plan.resize(good.plan.size() / 2);
+  expect_rejected(truncated, "truncated");
+  Job empty = good;
+  empty.plan.clear();
+  expect_rejected(empty, "empty");
+  const size_t first_slice = contraction_bytes(good.plan) - 4 * size_t(good.num_slices);
+  Job flipped = good;
+  flipped.plan[first_slice] ^= 1;
+  expect_rejected(flipped, "sliced edge flipped");
+  // Slicing another live edge instead: the blob still decodes to the same
+  // |S|, and only the run fingerprint tells the contraction apart.
+  const auto net = lower_job(circ, test::zero_bits(circ.num_qubits))->lowered.net;
+  const auto sliced = sp.prepared->plan.slices.to_vector();
+  int32_t swap = -1;
+  for (int e = 0; e < net.num_edges() && swap < 0; ++e)
+    if (net.edge(e).alive && std::find(sliced.begin(), sliced.end(), e) == sliced.end())
+      swap = e;
+  ASSERT_GE(swap, 0);
+  Job reslice = good;
+  std::memcpy(reslice.plan.data() + first_slice, &swap, sizeof(swap));
+  const std::string v = worker_verdict(reslice);
+  EXPECT_NE(v.find("job 7: plan blob does not match the run fingerprint"), std::string::npos)
+      << v;
+  auto other = test::small_rqc(3, 4, 8, 42);
+  Job foreign = good;
+  foreign.plan =
+      plan_spec(amp_spec(other, test::zero_bits(other.num_qubits), 4), coordinate_options(1))
+          .job.plan;
+  expect_rejected(foreign, "another circuit's plan");
+
+  // Seeded single-bit flips and truncations anywhere: each is rejected
+  // naming the job, or decodes to the same contraction (a flip in the
+  // metrics or method tail the worker does not run).
+  const size_t decisive = contraction_bytes(good.plan);
+  Rng rng(20261017);
+  for (int trial = 0; trial < 48; ++trial) {
+    Job m = good;
+    const size_t at = size_t(rng.next_below(m.plan.size()));
+    if (trial % 4 == 3) {
+      m.plan.resize(at);
+    } else {
+      m.plan[at] ^= uint8_t(1u << rng.next_below(8));
+    }
+    const std::string v = worker_verdict(m);
+    if (trial % 4 == 3 || at < decisive)
+      EXPECT_NE(v.find("job 7:"), std::string::npos) << "trial " << trial << " at " << at
+                                                      << ": " << v;
+    else
+      EXPECT_TRUE(v.empty() || v.find("job 7:") != std::string::npos) << v;
+  }
 }
 
 }  // namespace

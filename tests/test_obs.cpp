@@ -150,7 +150,8 @@ TEST(Tracer, EveryEventKindHasNameAndCategory) {
     EXPECT_GT(std::string(info.name).size(), 0u);
     const std::string cat = info.category;
     EXPECT_TRUE(cat == "slice" || cat == "kernel" || cat == "lease" || cat == "device" ||
-                cat == "checkpoint" || cat == "wire" || cat == "query")
+                cat == "checkpoint" || cat == "wire" || cat == "query" ||
+                cat == "plan")
         << "kind " << k << " has unknown category " << cat;
   }
 }

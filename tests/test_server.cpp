@@ -471,5 +471,53 @@ TEST_F(ServerE2E, ParkedWorkerTimeIsStragglerWait) {
   finish();
 }
 
+// The number after `"key":` in the first workers[] entry of a server status
+// JSON, or -1 before that worker's first heartbeat pulse.
+double worker_field(const std::string& status, const std::string& key) {
+  const size_t w = status.find("\"workers\":[");
+  const size_t jobs = status.find("],\"jobs\":[", w);
+  const size_t p = status.find("\"" + key + "\":", w);
+  if (w == std::string::npos || p == std::string::npos || p > jobs) return -1;
+  return std::strtod(status.c_str() + p + key.size() + 3, nullptr);
+}
+
+// A fleet worker keeps one context per job it was sent, and kJobEnd retires
+// it: over many sequential jobs it holds at most max_running contexts, and
+// its pulse keeps counting the tasks of retired jobs.
+TEST_F(ServerE2E, WorkerRetiresJobContextsAndPulseStaysMonotone) {
+  ServerOptions so;
+  so.admission.max_running = 2;
+  so.heartbeat_seconds = 0.02;
+  start(so, 1);
+  auto c = test::small_rqc(3, 3, 6, 23);
+  uint64_t tasks = 0;
+  double last_tasks = 0;
+  for (int k = 0; k < 40; ++k) {
+    std::string bits(9, '0');
+    for (int q = 0; q < 6; ++q) bits[size_t(q)] = (k >> q) & 1 ? '1' : '0';
+    auto r = submit_job("127.0.0.1", port_, spec_for(c, bits, "t", 1));
+    ASSERT_TRUE(r.ok) << r.message;
+    auto rec = fetch_result("127.0.0.1", port_, r.job_id, /*wait=*/true);
+    ASSERT_EQ(rec.state, JobState::kDone) << rec.error;
+    tasks += rec.tasks_run;
+    // The pulse after the job's last block counts every task so far.
+    std::string status;
+    double run = -1;
+    for (int attempt = 0; attempt < 300 && run != double(tasks); ++attempt) {
+      if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      status = job_status_json("127.0.0.1", port_, 0);
+      run = worker_field(status, "tasks_run");
+      if (run >= 0) {
+        EXPECT_GE(run, last_tasks) << "job " << k << ": the pulse went backwards";
+        last_tasks = run;
+      }
+    }
+    ASSERT_EQ(run, double(tasks)) << "job " << k << ": " << status;
+    EXPECT_LE(worker_field(status, "jobs_held"), double(so.admission.max_running))
+        << "job " << k << ": " << status;
+  }
+  finish();
+}
+
 }  // namespace
 }  // namespace ltns::dist
