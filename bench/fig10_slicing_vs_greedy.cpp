@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     po.target_log2size = 30;  // the paper's fixed 2^30 slicing target
     cache::CacheOptions copt;  // in-memory tiers: pure (de)serialization cost
     cache::PlanCache pc(copt);
-    const auto key = cache::plan_key("fig10-sycamore", "", "", po);
+    const auto key = cache::plan_key("fig10-sycamore", "", po);
 
     const uint64_t inv0 = path::find_path_invocations();
     Timer cold_timer;

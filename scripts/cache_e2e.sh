@@ -9,10 +9,13 @@
 #   3. a warm run with --result-cache=0 forces the PLAN tier: the stored
 #      plan is rebuilt (plan_disk hit), the contraction re-runs to the
 #      same bytes, and the path optimizer is never invoked;
-#   4. 2-process runs against the same store are byte-identical
+#   4. a DIFFERENT bitstring against the warmed store (result cache off)
+#      is a plan_disk hit too — the plan key ignores bit values — and its
+#      amplitude matches a cache-less solo run of that bitstring;
+#   5. 2-process runs against the same store are byte-identical
 #      too (executor and process count are absent from the keys by
 #      design);
-#   5. a `serve` daemon sharing the store answers a duplicate submission
+#   6. a `serve` daemon sharing the store answers a duplicate submission
 #      from cache at submit time ("done (served from cache)") and serves
 #      a solo-warmed fingerprint without executing anything — the store
 #      is shared across transports.
@@ -74,6 +77,18 @@ echo "== warm run, result cache disabled: PLAN tier must carry it =="
   || { echo "plan-tier run missed the plan disk tier"; exit 1; }
 echo "plan-tier run OK: stored plan rebuilt, contraction re-ran to the same bytes"
 
+echo "== other bitstring, result cache disabled: the circuit's plan still hits =="
+# Solo baseline for the second bitstring, computed WITHOUT the cache dir.
+"$CLI" --target=4 amp "$DIR/c.qc" $BITS2 | grep '^amplitude' > "$DIR/solo2.txt"
+"$CLI" --target=4 --cache-dir="$CACHE" --result-cache=0 \
+  --metrics-out="$DIR/other.json" \
+  amp "$DIR/c.qc" $BITS2 | grep '^amplitude' | diff "$DIR/solo2.txt" -
+[ "$(metric "$DIR/other.json" ltns_planner_invocations_total)" -eq 0 ] \
+  || { echo "a new bitstring on a planned circuit invoked the planner"; exit 1; }
+[ "$(metric "$DIR/other.json" ltns_cache_hits_total plan_disk)" -ge 1 ] \
+  || { echo "a new bitstring missed the plan disk tier"; exit 1; }
+echo "other-bitstring run OK: one plan per circuit shape, bytes match the solo run"
+
 echo "== 2-process runs against the same store =="
 "$CLI" --target=4 --cache-dir="$CACHE" --processes=2 \
   amp "$DIR/c.qc" $BITS | grep '^amplitude' | diff "$DIR/cold.txt" -
@@ -82,9 +97,8 @@ echo "== 2-process runs against the same store =="
 echo "2-process OK: cached result AND cached-plan re-execution byte-identical"
 
 echo "== serve: duplicate submit served from cache, store shared with solo =="
-# Solo baseline for the second bitstring, computed WITHOUT the cache dir so
-# the daemon's first submission genuinely executes.
-"$CLI" --target=4 amp "$DIR/c.qc" $BITS2 | grep '^amplitude' > "$DIR/solo2.txt"
+# $BITS2 has a plan in the store but no result (the run above had the
+# result cache off), so the daemon's first submission genuinely executes.
 "$CLI" serve $PORT --cache-dir="$CACHE" --state-dir="$DIR/state" \
   > "$DIR/server.log" 2>&1 &
 SRV=$!

@@ -200,10 +200,8 @@ std::string validate_options(const SimulatorOptions& opt) {
   return cache::validate_cache_options(opt.cache);
 }
 
-std::string Simulator::plan_key_for(const std::vector<int>& bits,
-                                    const std::vector<int>& open_qubits) const {
-  return cache::plan_key(circuit::circuit_to_string(circuit_), bit_text(bits),
-                         open_text(open_qubits), opt_.plan);
+std::string Simulator::plan_key_for(const std::vector<int>& open_qubits) const {
+  return cache::plan_key(circuit::circuit_to_string(circuit_), open_text(open_qubits), opt_.plan);
 }
 
 std::string Simulator::result_key_for(const std::vector<int>& bits,
@@ -218,7 +216,7 @@ PreparedPlan Simulator::prepare(const std::vector<int>& bits,
   auto st = std::make_shared<PreparedPlan::State>();
   st->bits = bits;
   st->open_qubits = open_qubits;
-  st->plan_cache_key = plan_key_for(bits, open_qubits);
+  st->plan_cache_key = plan_key_for(open_qubits);
   st->result_cache_key = result_key_for(bits, open_qubits);
   circuit::LoweringOptions lo;
   lo.output_bits = bits;
@@ -247,7 +245,7 @@ PreparedPlan Simulator::prepare_like(const PreparedPlan& rep, const std::vector<
   auto st = std::make_shared<PreparedPlan::State>();
   st->bits = bits;
   st->open_qubits = open_qubits;
-  st->plan_cache_key = plan_key_for(bits, open_qubits);
+  st->plan_cache_key = plan_key_for(open_qubits);
   st->result_cache_key = result_key_for(bits, open_qubits);
   circuit::LoweringOptions lo;
   lo.output_bits = bits;
@@ -260,8 +258,7 @@ PreparedPlan Simulator::prepare_like(const PreparedPlan& rep, const std::vector<
   // fall back to a full prepare().
   if (!cache::decode_plan(cache::encode_plan(rep.state_->plan), st->lowered.net, &st->plan))
     return {};
-  st->plan_from_cache = true;  // the planner never ran
-  if (plan_cache_ != nullptr) plan_cache_->insert(st->plan_cache_key, st->plan);
+  st->plan_from_cache = true;  // the planner never ran; `rep` holds the key
   st->plan_seconds = t.seconds();
   PreparedPlan p;
   p.state_ = std::move(st);

@@ -160,7 +160,8 @@ class PreparedPlan {
   double plan_seconds() const;
   // True when the plan came out of the cache (src/path/ never ran).
   bool plan_from_cache() const;
-  // The content-addressed key (input fingerprint) this plan is filed under.
+  // The content-addressed key this plan is filed under: circuit, open
+  // positions and plan knobs, equal across bit values.
   const std::string& plan_cache_key() const;
 
  private:
@@ -178,8 +179,11 @@ class Simulator {
 
   // Resolves the plan for one output configuration: lower -> simplify ->
   // plan cache lookup, falling back to make_plan (and populating the
-  // cache). The returned handle can be passed to amplitude() /
-  // batch_amplitudes() any number of times.
+  // cache). The plan key covers the circuit, the open-qubit POSITIONS and
+  // the plan knobs but not the bit values (lowering is value-blind), so
+  // after the first plan for a circuit shape every other bitstring with
+  // the same open set is a plan-cache hit. The returned handle can be
+  // passed to amplitude() / batch_amplitudes() any number of times.
   PreparedPlan prepare(const std::vector<int>& bits,
                        const std::vector<int>& open_qubits = {}) const;
 
@@ -188,15 +192,18 @@ class Simulator {
   // `rep`'s encoded plan over it (cache::decode_plan) — the planner never
   // runs, because lowering is value-blind across output bit values. The
   // query engine resolves each open-set signature once and re-targets it
-  // for every later group. Returns an invalid handle when `rep` is invalid,
-  // its open set differs, or the rebuild does not fit (caller falls back
-  // to prepare()).
+  // for every later group; this works with the plan cache disabled too.
+  // Nothing is inserted into the plan cache: the re-targeted plan's key is
+  // `rep`'s key, which already holds it. Returns an invalid handle when
+  // `rep` is invalid, its open set differs, or the rebuild does not fit
+  // (caller falls back to prepare()).
   PreparedPlan prepare_like(const PreparedPlan& rep, const std::vector<int>& bits,
                             const std::vector<int>& open_qubits) const;
 
   // Single closed amplitude <bits|C|0...0>. Prepares internally (through
-  // the plan cache); a cached completed result returns without planning or
-  // contraction.
+  // the plan cache, so only the first bitstring of a circuit plans); a
+  // cached completed result, keyed on the bit values, returns without
+  // planning or contraction.
   AmplitudeResult amplitude(const std::vector<int>& bits) const;
   // Same query against an already-prepared plan (must have been prepared
   // with empty open_qubits).
@@ -232,8 +239,7 @@ class Simulator {
  private:
   bool amplitude_from_cache(const std::string& key, double plan_seconds,
                             AmplitudeResult* out) const;
-  std::string plan_key_for(const std::vector<int>& bits,
-                           const std::vector<int>& open_qubits) const;
+  std::string plan_key_for(const std::vector<int>& open_qubits) const;
   std::string result_key_for(const std::vector<int>& bits,
                              const std::vector<int>& open_qubits) const;
 

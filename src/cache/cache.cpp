@@ -93,10 +93,9 @@ bool ssa_path_fits(const tn::SsaPath& path, const tn::TensorNetwork& net, size_t
 
 }  // namespace
 
-std::string plan_key(const std::string& circuit_text, const std::string& bits,
-                     const std::string& open_qubits, const core::PlanOptions& plan) {
-  std::string id = "plan|" + circuit_text + '|' + bits + '|' + open_qubits + '|' +
-                   core::plan_options_text(plan);
+std::string plan_key(const std::string& circuit_text, const std::string& open_qubits,
+                     const core::PlanOptions& plan) {
+  std::string id = "plan|" + circuit_text + '|' + open_qubits + '|' + core::plan_options_text(plan);
   return dist::fnv1a_hex(id);
 }
 

@@ -1,16 +1,21 @@
 // Content-addressed plan & result cache.
 //
 // Path optimization (src/path/: greedy + partition trials + local tune)
-// dominates small-job latency and is recomputed for every identical query
-// and every identical service submission. Both caches here are keyed by an
-// FNV-1a fingerprint of the job INPUTS — circuit text, output bits, open
-// qubits, and every plan knob — hashed with the same dist::fnv1a_hex the
-// checkpoint journal's run fingerprint uses. The input key is usable
-// BEFORE planning (the journal's run_fingerprint hashes the resolved path
-// and so cannot front a plan lookup), and because make_plan is
-// deterministic in its inputs, equal input keys imply equal resolved plans
-// and — by the bitwise-determinism contract — equal result bytes across
-// executors, backends and process counts.
+// dominates small-job latency and would otherwise be recomputed for every
+// amplitude of a circuit. Both caches here are keyed by an FNV-1a
+// fingerprint of the job INPUTS, hashed with the same dist::fnv1a_hex the
+// checkpoint journal's run fingerprint uses:
+//   - the plan key hashes circuit text, open-qubit positions and every
+//     plan knob. Output bit VALUES are absent: circuit::lower and
+//     circuit::simplify build the same network structure for every bit
+//     value at the same open positions (only the bra caps' data differs),
+//     so one plan serves every bitstring of a circuit shape;
+//   - the result key adds the bit values and the execution knobs.
+// The input key is usable BEFORE planning (the journal's run_fingerprint
+// hashes the resolved path and so cannot front a plan lookup), and because
+// make_plan is deterministic in its network's structure, equal plan keys
+// imply equal resolved plans and — by the bitwise-determinism contract —
+// equal result bytes across executors, backends and process counts.
 //
 // Each cache is a two-tier store: an in-memory LRU of serialized entries in
 // front of an optional on-disk directory (`--cache-dir`). Entries are
@@ -50,17 +55,20 @@ namespace ltns::cache {
 inline constexpr uint32_t kCacheMagic = 0x4C544E43u;  // "LTNC"
 inline constexpr uint16_t kCacheVersion = 2;
 
-// Content-addressed keys (16-char FNV-1a hex). `bits` is the '0'/'1'
-// output bitstring, `open_qubits` a textual open-qubit list ("" when
-// closed) — the same canonical forms dist::run_fingerprint takes.
-std::string plan_key(const std::string& circuit_text, const std::string& bits,
-                     const std::string& open_qubits, const core::PlanOptions& plan);
+// Content-addressed keys (16-char FNV-1a hex). `open_qubits` is a textual
+// open-qubit list ("" when closed), `bits` the '0'/'1' output bitstring —
+// the same canonical forms dist::run_fingerprint takes. The plan key takes
+// no bits: plans are shared across bit values (decode_plan still checks
+// that every hit fits the caller's network).
+std::string plan_key(const std::string& circuit_text, const std::string& open_qubits,
+                     const core::PlanOptions& plan);
 
-// The result key extends the plan key's preimage with the execution knobs
-// that select WHICH numbers are computed (fused stem windows and the LDM
-// capacity change the kernel schedule, not just its speed). Executor,
-// backend and process count are deliberately absent: conforming backends
-// are bitwise identical, so one cached result serves them all.
+// The result key extends the plan key's preimage with the output bits and
+// the execution knobs that select WHICH numbers are computed (fused stem
+// windows and the LDM capacity change the kernel schedule, not just its
+// speed). Executor, backend and process count are deliberately absent:
+// conforming backends are bitwise identical, so one cached result serves
+// them all.
 std::string result_key(const std::string& circuit_text, const std::string& bits,
                        const std::string& open_qubits, const core::PlanOptions& plan, bool fused,
                        uint64_t ldm_elems);
@@ -110,8 +118,9 @@ class TieredStore {
 // caller's network. Because lowering is value-blind (the network structure
 // is identical across output bit VALUES at the same open positions), a
 // plan encoded against one bitstring decodes against any other with the
-// same open set — api::Simulator::prepare_like re-targets plans this way,
-// so a query run plans each open-set signature exactly once.
+// same open set. plan_key leaves the bits out for this reason, and
+// api::Simulator::prepare_like re-targets plans the same way without a
+// cache.
 std::vector<uint8_t> encode_plan(const core::Plan& plan);
 
 // Rebuilds the encoded plan over `net` (freshly lowered + simplified).

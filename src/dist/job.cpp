@@ -284,7 +284,7 @@ std::unique_ptr<Prepared> prepare_job(const circuit::Circuit& c, const std::stri
   po.target_log2size = target;
   po.seed = seed;
   if (plan_cache != nullptr && plan_cache->enabled()) {
-    const auto key = cache::plan_key(circuit_text, bit_text(bits), open_text(open_qubits), po);
+    const auto key = cache::plan_key(circuit_text, open_text(open_qubits), po);
     if (plan_cache->lookup(key, p->lowered.net, &p->plan)) {
       if (from_cache != nullptr) *from_cache = true;
       return p;

@@ -160,7 +160,8 @@ std::unique_ptr<Prepared> prepare_job(const circuit::Circuit& c, const std::vect
                                       const std::vector<int>& open_qubits = {});
 
 // Cache-aware variant: consults `plan_cache` (content-addressed over the
-// job inputs and the exact PlanOptions this function derives) before
+// circuit text, the open positions and the exact PlanOptions this function
+// derives; any bit values of the same shape share the entry) before
 // invoking the path optimizer, and inserts a freshly computed plan on a
 // miss. `circuit_text` must be the text `c` was parsed from — the key
 // hashes the text, not the parsed form. `plan_cache` may be null (plain

@@ -108,9 +108,11 @@ SpecPlan plan_bits(const JobSpec& s, const circuit::Circuit& circ, const std::ve
                    const std::vector<int>& open_qubits, const ServerOptions& opt,
                    cache::PlanCache* plan_cache) {
   SpecPlan out;
-  // Plan-cache aware: a repeated circuit (same knobs) skips the path
-  // optimizer and the slicers entirely; the rebuilt plan is identical, so
-  // the job's amplitude stays byte-identical either way.
+  // Plan-cache aware: a repeated circuit shape (same circuit text, open
+  // positions and knobs, any bit values) skips the path optimizer and the
+  // slicers entirely; only the first job of a shape plans on the poll
+  // thread. The rebuilt plan is identical, so the job's amplitude stays
+  // byte-identical either way.
   out.prepared = prepare_job(circ, s.circuit_text, bits, s.target_log2size, s.plan_seed,
                              plan_cache, nullptr, open_qubits);
   const core::Plan& plan = out.prepared->plan;

@@ -1,7 +1,8 @@
 // Content-addressed plan & result cache tests. The load-bearing invariants:
 //   1. keys are pure functions of the job INPUTS: equal inputs agree, any
-//      input change (circuit text, bits, open qubits, plan knob, execution
-//      knob for result keys) changes the key;
+//      input change (circuit text, open qubits, plan knob; bits and
+//      execution knobs for result keys) changes the key, and the plan key
+//      is equal across output bit values (one plan per circuit shape);
 //   2. the tiered store is a real LRU (recency order decides eviction), a
 //      disk entry survives "restart" (a fresh store) and is promoted on
 //      hit, and a corrupt or truncated entry is DROPPED and recomputed —
@@ -78,30 +79,53 @@ bool file_exists(const std::string& p) {
 
 TEST(CacheKeys, DeterministicAndSensitiveToEveryInput) {
   core::PlanOptions po;
-  const std::string k = plan_key("circ-v1", "0101", "", po);
+  const std::string k = plan_key("circ-v1", "", po);
   EXPECT_EQ(k.size(), 16u);  // FNV-1a 64 as hex
-  EXPECT_EQ(k, plan_key("circ-v1", "0101", "", po));
+  EXPECT_EQ(k, plan_key("circ-v1", "", po));
 
-  EXPECT_NE(k, plan_key("circ-v2", "0101", "", po));
-  EXPECT_NE(k, plan_key("circ-v1", "0111", "", po));
-  EXPECT_NE(k, plan_key("circ-v1", "0101", "2,5", po));
+  EXPECT_NE(k, plan_key("circ-v2", "", po));
+  EXPECT_NE(k, plan_key("circ-v1", "2,5,", po));
+  EXPECT_NE(plan_key("circ-v1", "2,5,", po), plan_key("circ-v1", "2,6,", po));
   core::PlanOptions target = po;
   target.target_log2size = po.target_log2size + 1;
-  EXPECT_NE(k, plan_key("circ-v1", "0101", "", target));
+  EXPECT_NE(k, plan_key("circ-v1", "", target));
   core::PlanOptions seed = po;
   seed.seed = po.seed + 1;
-  EXPECT_NE(k, plan_key("circ-v1", "0101", "", seed));
+  EXPECT_NE(k, plan_key("circ-v1", "", seed));
+
+  // Output bit values are NOT an input: lowering is value-blind, so every
+  // bitstring of one circuit shape files its plan under the same key. The
+  // open POSITIONS still split it.
+  auto c = test::small_rqc(3, 3, 4, 3);
+  api::SimulatorOptions opt;
+  opt.plan.target_log2size = 6;
+  opt.cache.plan_cache_entries = 0;  // keys only; nothing to store
+  opt.cache.result_cache_entries = 0;
+  api::Simulator sim(c, opt);
+  std::vector<int> a = test::zero_bits(c.num_qubits), b = a;
+  b[0] = b[4] = b[8] = 1;
+  const auto key_a = sim.prepare(a).plan_cache_key();
+  EXPECT_EQ(key_a, plan_key(circuit::circuit_to_string(c), "", opt.plan));
+  EXPECT_EQ(key_a, sim.prepare(b).plan_cache_key());
+  const auto open_a = sim.prepare(a, {1, 5}).plan_cache_key();
+  EXPECT_EQ(open_a, sim.prepare(b, {1, 5}).plan_cache_key());
+  EXPECT_NE(open_a, key_a);
+  EXPECT_NE(open_a, sim.prepare(a, {1, 6}).plan_cache_key());
 }
 
 TEST(CacheKeys, ResultKeyExtendsPlanKeyWithExecutionKnobs) {
   core::PlanOptions po;
   const std::string r = result_key("circ", "01", "", po, /*fused=*/true, /*ldm=*/32768);
   EXPECT_EQ(r, result_key("circ", "01", "", po, true, 32768));
+  // The result key keeps the bit values the plan key drops: one flipped
+  // bit is a different amplitude.
+  EXPECT_NE(r, result_key("circ", "00", "", po, true, 32768));
+  EXPECT_NE(r, result_key("circ", "11", "", po, true, 32768));
   // Execution knobs that change WHICH numbers are computed change the key;
   // the plan key must ignore them (one plan serves both stem modes).
   EXPECT_NE(r, result_key("circ", "01", "", po, false, 32768));
   EXPECT_NE(r, result_key("circ", "01", "", po, true, 16384));
-  EXPECT_NE(r, plan_key("circ", "01", "", po));
+  EXPECT_NE(r, plan_key("circ", "", po));
 }
 
 // --- TieredStore ----------------------------------------------------------
@@ -241,7 +265,7 @@ TEST(PlanCache, HitRebuildsStoredPlanWithoutRunningThePathOptimizer) {
   core::PlanOptions po;
   po.target_log2size = 6;
   const auto plan = core::make_plan(ln.net, po);
-  const auto key = plan_key("some-circuit-text", "000000000", "", po);
+  const auto key = plan_key("some-circuit-text", "", po);
   {
     PlanCache pc(opt);
     pc.insert(key, plan);
@@ -268,7 +292,7 @@ TEST(PlanCache, HitRebuildsStoredPlanWithoutRunningThePathOptimizer) {
   EXPECT_EQ(out.tree->total_log2cost(), plan.tree->total_log2cost());
   EXPECT_EQ(out.stem.length(), plan.stem.length());
 
-  EXPECT_FALSE(warm.lookup(plan_key("other-circuit", "000000000", "", po), ln2.net, &out));
+  EXPECT_FALSE(warm.lookup(plan_key("other-circuit", "", po), ln2.net, &out));
 }
 
 // --- warm vs cold through the public API ----------------------------------
@@ -377,6 +401,82 @@ TEST(SimulatorCache, ReadOnlyRunNeverPopulatesTheStore) {
   bad2.cache.plan_cache_entries = 0;
   bad2.cache.result_cache_entries = 0;  // a dir that caches nothing
   EXPECT_NE(api::validate_options(bad2), "");
+}
+
+// One Simulator, two bitstrings: the second amplitude rebuilds the first
+// one's plan (the plan key ignores bit values) and its bytes match a cold
+// Simulator that planned the second bitstring itself.
+class SimulatorPlanReuse : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SimulatorPlanReuse, SecondBitstringHitsThePlanAndMatchesAColdRun) {
+  auto c = test::small_rqc(3, 3, 8, 17);
+  api::SimulatorOptions opt;
+  opt.plan.target_log2size = 4;  // several sliced edges
+  opt.backend = GetParam();
+  std::vector<int> b1 = test::zero_bits(c.num_qubits), b2 = b1, b3 = b1;
+  b2[1] = b2[2] = b2[7] = 1;
+  b3[0] = b3[8] = 1;
+
+  api::Simulator sim(c, opt);
+  auto r1 = sim.amplitude(b1);
+  ASSERT_TRUE(r1.completed) << r1.telemetry.error;
+  ASSERT_GT(r1.num_slices, 0);
+
+  const uint64_t invocations_before = path::find_path_invocations();
+  const auto p2 = sim.prepare(b2);
+  EXPECT_TRUE(p2.plan_from_cache());
+  auto r2 = sim.amplitude(p2);
+  ASSERT_TRUE(r2.completed) << r2.telemetry.error;
+  // The bits-only entry point takes the same plan-cache hit.
+  auto r3 = sim.amplitude(b3);
+  ASSERT_TRUE(r3.completed) << r3.telemetry.error;
+  EXPECT_EQ(path::find_path_invocations(), invocations_before)
+      << "a new bitstring on a planned circuit must not run the path optimizer";
+  const auto st = sim.cache_stats();
+  EXPECT_EQ(st.plan.misses, 1u);
+  EXPECT_EQ(st.plan.memory_hits, 2u);
+  EXPECT_EQ(st.plan.insertions, 1u);
+
+  for (const auto& [bits, warm] : {std::make_pair(b2, r2), std::make_pair(b3, r3)}) {
+    api::Simulator cold_sim(c, opt);
+    auto cold = cold_sim.amplitude(bits);
+    ASSERT_TRUE(cold.completed) << cold.telemetry.error;
+    EXPECT_FALSE(warm.from_cache);
+    EXPECT_EQ(std::memcmp(&warm.amplitude, &cold.amplitude, sizeof(cold.amplitude)), 0)
+        << "a reused plan must give the cold run's bytes";
+    EXPECT_EQ(warm.num_slices, cold.num_slices);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SimulatorPlanReuse, ::testing::Values("host", "simd"));
+
+TEST(SimulatorCache, PrepareLikeWritesNothingToThePlanCache) {
+  ScopedCacheDir dir;
+  auto c = test::small_rqc(3, 3, 6, 19);
+  api::SimulatorOptions opt;
+  opt.plan.target_log2size = 6;
+  opt.cache.cache_dir = dir.path;
+  api::Simulator sim(c, opt);
+  const std::vector<int> open = {2, 6};
+  const auto rep = sim.prepare(test::zero_bits(c.num_qubits), open);
+  ASSERT_TRUE(rep.valid());
+  const auto before = sim.cache_stats().plan;
+  EXPECT_EQ(before.insertions, 1u);
+  EXPECT_GT(before.disk_bytes_written, 0u);
+
+  // The re-targeted plans share the representative's key, which already
+  // holds the plan: no insertion and no tmp+rename disk write per call.
+  for (int k = 1; k <= 4; ++k) {
+    std::vector<int> bits = test::zero_bits(c.num_qubits);
+    bits[size_t(k)] = bits[8] = 1;
+    const auto p = sim.prepare_like(rep, bits, open);
+    ASSERT_TRUE(p.valid());
+    EXPECT_TRUE(p.plan_from_cache());
+    EXPECT_EQ(p.plan_cache_key(), rep.plan_cache_key());
+  }
+  const auto after = sim.cache_stats().plan;
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.disk_bytes_written, before.disk_bytes_written);
 }
 
 }  // namespace

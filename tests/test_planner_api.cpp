@@ -1,10 +1,13 @@
 // Planner (all slicer kinds) and Simulator facade option-matrix tests.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "api/simulator.hpp"
 #include "core/planner.hpp"
 #include "sv/statevector.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace ltns {
 namespace {
@@ -61,6 +64,65 @@ TEST(Planner, PlanIsCopyableAndStable) {
   EXPECT_EQ(copy.stem.tree, copy.tree.get() == nullptr ? nullptr : copy.stem.tree);
   EXPECT_EQ(moved.stem.nodes.back(), moved.tree->root());
   EXPECT_NEAR(moved.stem.total_log2cost(), copy.stem.total_log2cost(), 1e-12);
+}
+
+// The plan cache files one plan per circuit shape, not per bitstring
+// (cache::plan_key has no bits). That is sound only while lower + simplify
+// + make_plan never read a bra cap's value: for every circuit and open
+// set, the plan of any seeded bitstring must equal the first one's —
+// same leaves, steps and sliced edges, bitwise-equal metrics.
+TEST(Planner, PlanIsBlindToOutputBitValues) {
+  // A 12-qubit corner of the Sycamore diamond: its couplers are not a grid.
+  const auto syc = circuit::Device::sycamore53();
+  circuit::Device sub;
+  for (int q = 0; q < 12; ++q) sub.coords.push_back(syc.coords[size_t(q)]);
+  for (auto [a, b] : syc.couplers)
+    if (a < 12 && b < 12) sub.couplers.emplace_back(a, b);
+  circuit::RqcOptions ro;
+  ro.cycles = 6;
+  ro.seed = 7;
+  const std::vector<std::pair<const char*, circuit::Circuit>> circuits = {
+      {"grid3x3", test::small_rqc(3, 3, 6, 31)},
+      {"grid4x4", test::small_rqc(4, 4, 8, 32)},
+      {"syc12", circuit::random_quantum_circuit(sub, ro)},
+  };
+  const auto po = fast_plan(6);
+  for (const auto& [name, c] : circuits) {
+    const int n = c.num_qubits;
+    const std::vector<std::vector<int>> open_sets = {{}, {1, n / 2}, {0, 3, n - 1}};
+    for (const auto& open : open_sets) {
+      Rng rng(0xB175 + uint64_t(n) * 16 + open.size());
+      // The first bitstring's plan, by value (its tree points into a
+      // network that does not outlive the iteration).
+      tn::SsaPath first_path;
+      std::vector<int> first_slices;
+      core::SlicedMetrics first_metrics;
+      for (int k = 0; k < 8; ++k) {
+        circuit::LoweringOptions lo;
+        for (int q = 0; q < n; ++q) lo.output_bits.push_back(int(rng.next_below(2)));
+        lo.open_qubits = open;
+        auto ln = circuit::lower(c, lo);
+        circuit::simplify(ln);
+        const auto plan = core::make_plan(ln.net, po);
+        if (k == 0) {
+          first_path = plan.path;
+          first_slices = plan.slices.to_vector();
+          first_metrics = plan.metrics;
+          if (name == std::string("grid4x4")) {
+            EXPECT_GT(plan.num_slices(), 0) << "open=" << open.size();
+          }
+          continue;
+        }
+        const std::string where = std::string(name) + " open=" + std::to_string(open.size()) +
+                                  " bitstring " + std::to_string(k);
+        EXPECT_EQ(plan.path.leaf_vertices, first_path.leaf_vertices) << where;
+        EXPECT_EQ(plan.path.steps, first_path.steps) << where;
+        EXPECT_EQ(plan.slices.to_vector(), first_slices) << where;
+        EXPECT_EQ(std::memcmp(&plan.metrics, &first_metrics, sizeof(core::SlicedMetrics)), 0)
+            << where;
+      }
+    }
+  }
 }
 
 TEST(Simulator, AmplitudeMatchesAcrossSlicerKinds) {

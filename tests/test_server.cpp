@@ -17,11 +17,15 @@
 //   6. the engine rules every coordinator shares: heartbeats off means no
 //      stall revocation (no livelock on long leases), shutdown never
 //      waits forever on a silent worker, and parked worker time is the
-//      job's straggler wait.
+//      job's straggler wait;
+//   7. a second job on an already-planned circuit with different bits
+//      reuses the plan (a plan-cache hit) and still matches a solo run.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -517,6 +521,48 @@ TEST_F(ServerE2E, WorkerRetiresJobContextsAndPulseStaysMonotone) {
         << "job " << k << ": " << status;
   }
   finish();
+}
+
+// The plan tier's memory_hits in the status JSON's cache section; -1 when
+// the section is missing.
+double plan_memory_hits(const std::string& status) {
+  const std::string key = "\"plan\":{\"memory_hits\":";
+  const auto p = status.find(key);
+  if (p == std::string::npos) return -1;
+  return std::strtod(status.c_str() + p + key.size(), nullptr);
+}
+
+// The plan key has no bit values: after the first job of a circuit, a job
+// with other bits is a plan-cache hit on the coordinator, and both jobs'
+// amplitudes are still the solo Simulator's bytes.
+TEST_F(ServerE2E, SecondBitstringOfACircuitReusesItsPlan) {
+  char tmpl[] = "/tmp/ltns_server_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ServerOptions so;
+  so.cache.cache_dir = dir;
+  start(so, 2);
+
+  auto c = test::small_rqc(3, 3, 8, 29);
+  std::vector<std::pair<std::string, JobResultRecord>> jobs;
+  for (const std::string bits : {"011001010", "100110001"}) {
+    auto r = submit_job("127.0.0.1", port_, spec_for(c, bits, "t", 1));
+    ASSERT_TRUE(r.ok) << r.message;
+    auto rec = fetch_result("127.0.0.1", port_, r.job_id, /*wait=*/true);
+    ASSERT_EQ(rec.state, JobState::kDone) << rec.error;
+    EXPECT_GT(rec.tasks_run, uint64_t(1));
+    jobs.emplace_back(bits, rec);
+  }
+  const auto status = job_status_json("127.0.0.1", port_, 0);
+  EXPECT_GE(plan_memory_hits(status), 1) << status;
+  for (const auto& [bits, rec] : jobs) {
+    const auto solo = solo_amplitude(c, bits);
+    const double want[2] = {solo.real(), solo.imag()};
+    const double got[2] = {rec.amplitude_re, rec.amplitude_im};
+    EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0) << bits;
+  }
+  finish();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
