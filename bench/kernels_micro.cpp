@@ -1,14 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the execution kernels: complex
 // GEMM across square and narrow shapes (§5.1: narrow GEMM collapses to a
 // bandwidth problem), permutation strategies (§5.3.1 map reduction), the
-// gather/scatter slice primitives, the device backends (host / blocked /
-// simd) behind the src/device/ registry, and the raw SIMD dispatch tiers
+// gather/scatter slice primitives, the device backends (host / simd)
+// behind the src/device/ registry, and the raw SIMD dispatch tiers
 // (portable scalar vs every vector tier this CPU supports — the
 // "vectorized cgemm beats scalar" check lives here).
 //
 // `--device-compare=PATH` skips the google-benchmark suite and instead
-// emits a fig12-style JSON comparison of the host, blocked and simd
-// backends over gemm/permute shapes, asserting bitwise equality of every
+// emits a fig12-style JSON comparison of the host and simd backends
+// over gemm/permute shapes, asserting bitwise equality of every
 // fp32 output, plus a "mixed" section measuring the bf16 backend against
 // fp32 in scale-relative ULPs (util::ulp_distance_at_scale — the
 // --compare-mode=ulp:<N> metric; docs/kernels.md). The CI bench-smoke job
@@ -137,21 +137,7 @@ void BM_SliceGather(benchmark::State& state) {
 BENCHMARK(BM_SliceGather)->Arg(12)->Arg(16)->Arg(20);
 
 // Device-backend GEMM: same shapes as BM_GemmSquare through the registry's
-// blocked backend (packed panels + L2 column blocking).
-void BM_GemmBlockedBackend(benchmark::State& state) {
-  const int n = int(state.range(0));
-  auto backend = device::make_backend("blocked");
-  auto a = random_buf(size_t(n) * n, 1), b = random_buf(size_t(n) * n, 2);
-  std::vector<cfloat> c(size_t(n) * n);
-  for (auto _ : state) {
-    backend->gemm(n, n, n, a.data(), b.data(), c.data(), nullptr, nullptr);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["flops"] = benchmark::Counter(exec::gemm_flops(n, n, n),
-                                               benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_GemmBlockedBackend)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
+// simd backend.
 void BM_GemmSimdBackend(benchmark::State& state) {
   const int n = int(state.range(0));
   auto backend = device::make_backend("simd");
@@ -226,7 +212,7 @@ void BM_ContractTTGT(benchmark::State& state) {
 }
 BENCHMARK(BM_ContractTTGT)->Arg(10)->Arg(14)->Arg(18);
 
-// --- host-vs-blocked device comparison (fig12-style JSON) ------------------
+// --- host-vs-simd device comparison (fig12-style JSON) ---------------------
 
 double best_of(int reps, const std::function<void()>& fn) {
   double best = 1e300;
@@ -241,7 +227,6 @@ double best_of(int reps, const std::function<void()>& fn) {
 int run_device_compare(const char* path) {
   obs::Tracer::instance().enable(0);  // the compare run's kernel timeline
   auto host = device::make_backend("host");
-  auto blocked = device::make_backend("blocked");
   auto simd = device::make_backend("simd");
   auto bf16 = device::make_backend("simd+bf16");
   const std::string isa = exec::isa_name(device::cpu_probe().active);
@@ -258,7 +243,7 @@ int run_device_compare(const char* path) {
   const int64_t kMixedUlpBound = int64_t(1) << 18;
   std::fprintf(f,
                "{\n  \"figure\": \"kernels_micro device comparison (fig12-style)\",\n"
-               "  \"backends\": [\"host\", \"blocked\", \"simd\"],\n"
+               "  \"backends\": [\"host\", \"simd\"],\n"
                "  \"active_isa\": \"%s\",\n  \"gemm\": [",
                isa.c_str());
   const struct { int m, n, k; } shapes[] = {
@@ -267,28 +252,21 @@ int run_device_compare(const char* path) {
   bool first = true;
   for (const auto& s : shapes) {
     auto a = random_buf(size_t(s.m) * s.k, 1), b = random_buf(size_t(s.k) * s.n, 2);
-    std::vector<cfloat> c1(size_t(s.m) * s.n), c2(size_t(s.m) * s.n), c3(size_t(s.m) * s.n);
+    std::vector<cfloat> c1(size_t(s.m) * s.n), c2(size_t(s.m) * s.n);
     const double th = best_of(5, [&] {
       obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
       host->gemm(s.m, s.n, s.k, a.data(), b.data(), c1.data(), nullptr, nullptr);
     });
-    const double tb = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
-      blocked->gemm(s.m, s.n, s.k, a.data(), b.data(), c2.data(), nullptr, nullptr);
-    });
     const double ts = best_of(5, [&] {
       obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
-      simd->gemm(s.m, s.n, s.k, a.data(), b.data(), c3.data(), nullptr, nullptr);
+      simd->gemm(s.m, s.n, s.k, a.data(), b.data(), c2.data(), nullptr, nullptr);
     });
-    const bool eq = std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)) == 0 &&
-                    std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(cfloat)) == 0;
+    const bool eq = std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)) == 0;
     all_bitwise = all_bitwise && eq;
     std::fprintf(f,
                  "%s\n    {\"m\": %d, \"n\": %d, \"k\": %d, \"host_seconds\": %.9g, "
-                 "\"blocked_seconds\": %.9g, \"simd_seconds\": %.9g, \"speedup\": %.4g, "
-                 "\"simd_speedup\": %.4g, \"bitwise_equal\": %s}",
-                 first ? "" : ",", s.m, s.n, s.k, th, tb, ts, th / tb, th / ts,
-                 eq ? "true" : "false");
+                 "\"simd_seconds\": %.9g, \"simd_speedup\": %.4g, \"bitwise_equal\": %s}",
+                 first ? "" : ",", s.m, s.n, s.k, th, ts, th / ts, eq ? "true" : "false");
     first = false;
   }
   std::fprintf(f, "\n  ],\n  \"permute\": [");
@@ -299,28 +277,22 @@ int run_device_compare(const char* path) {
     order = ixs;
     std::reverse(order.begin(), order.end());
     auto t = exec::random_tensor(ixs, 5);
-    exec::Tensor p1, p2, p3;
+    exec::Tensor p1, p2;
     const double th = best_of(5, [&] {
       obs::TraceScope tr(obs::EventKind::kPermute, uint64_t(t.size()));
       p1 = host->permute(t, order, nullptr);
     });
-    const double tb = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kPermute, uint64_t(t.size()));
-      p2 = blocked->permute(t, order, nullptr);
-    });
     const double ts = best_of(5, [&] {
       obs::TraceScope tr(obs::EventKind::kPermute, uint64_t(t.size()));
-      p3 = simd->permute(t, order, nullptr);
+      p2 = simd->permute(t, order, nullptr);
     });
-    const bool eq = p1.ixs() == p2.ixs() && p1.ixs() == p3.ixs() &&
-                    std::memcmp(p1.raw(), p2.raw(), p1.size() * sizeof(cfloat)) == 0 &&
-                    std::memcmp(p1.raw(), p3.raw(), p1.size() * sizeof(cfloat)) == 0;
+    const bool eq = p1.ixs() == p2.ixs() &&
+                    std::memcmp(p1.raw(), p2.raw(), p1.size() * sizeof(cfloat)) == 0;
     all_bitwise = all_bitwise && eq;
     std::fprintf(f,
-                 "%s\n    {\"rank\": %d, \"host_seconds\": %.9g, \"blocked_seconds\": %.9g, "
-                 "\"simd_seconds\": %.9g, \"speedup\": %.4g, \"simd_speedup\": %.4g, "
-                 "\"bitwise_equal\": %s}",
-                 first ? "" : ",", rank, th, tb, ts, th / tb, th / ts, eq ? "true" : "false");
+                 "%s\n    {\"rank\": %d, \"host_seconds\": %.9g, \"simd_seconds\": %.9g, "
+                 "\"simd_speedup\": %.4g, \"bitwise_equal\": %s}",
+                 first ? "" : ",", rank, th, ts, th / ts, eq ? "true" : "false");
     first = false;
   }
   // Mixed precision: the bf16 backend against the fp32 host reference, in

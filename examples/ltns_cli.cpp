@@ -27,11 +27,11 @@
 //                                (amp/sample/query; default 1): straggler
 //                                steal, dead-worker requeue
 //   --workers=N                  scheduler width per process (default: hw/N)
-//   --backend=SPEC               device backend (host|blocked|simd|cuda, each
-//                                with an optional +fp32|+bf16 precision
-//                                suffix; default host; `--backend=help` lists
-//                                them with capabilities; fp32 backends are
-//                                bitwise identical by contract)
+//   --backend=SPEC               device backend (host|simd, each with an
+//                                optional +fp32|+bf16 precision suffix;
+//                                default host; `--backend=help` lists them
+//                                with capabilities; both are bitwise
+//                                identical at fp32 by contract)
 //   --precision=fp32|bf16        GEMM operand precision (default fp32); bf16
 //                                keeps fp32 accumulation and is deterministic
 //                                but only ULP-close to fp32 (docs/kernels.md)
@@ -208,25 +208,24 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
       g_flags.backend = argv[i] + 10;
       g_flags.backend_set = true;
       // `--backend=help` (or any unknown name) prints the full backend
-      // listing — capabilities, alignment, availability — instead of a
-      // bare error from deep inside the run.
+      // listing — capabilities, alignment, ISA tier — instead of a bare
+      // error from deep inside the run.
       if (g_flags.backend == "help" || g_flags.backend == "list") {
         std::fputs(device::backend_help().c_str(), stdout);
         std::exit(0);
       }
       // Validate the NAME part only: "simd+bf16" is a full spec, and
       // parse_backend_spec rejects a bad precision suffix on its own.
-      bool known_and_available = false;
+      bool known = false;
       try {
         const auto spec = device::parse_backend_spec(g_flags.backend);
-        for (const auto& b : device::available_backends())
-          if (b.name == spec.name) known_and_available = b.caps.available;
+        for (const auto& b : device::available_backends()) known = known || b.name == spec.name;
       } catch (const std::invalid_argument& e) {
         std::fprintf(stderr, "--backend: %s\n", e.what());
         std::exit(64);
       }
-      if (!known_and_available) {
-        std::fprintf(stderr, "unknown or unavailable --backend '%s'\n\n%s",
+      if (!known) {
+        std::fprintf(stderr, "unknown --backend '%s'\n\n%s",
                      g_flags.backend.c_str(), device::backend_help().c_str());
         std::exit(64);
       }
@@ -1093,7 +1092,7 @@ int main(int raw_argc, char** raw_argv) {
                  "\n"
                  "run flags:\n"
                  "  --runtime=ws|static|serial --grain=N\n"
-                 "  --backend=SPEC  host|blocked|simd|cuda with optional +fp32|+bf16 suffix\n"
+                 "  --backend=SPEC  host|simd with optional +fp32|+bf16 suffix\n"
                  "                  (help lists capabilities; docs/kernels.md)\n"
                  "  --precision=fp32|bf16   GEMM operand precision (default fp32)\n"
                  "  --target=N   planner slicing bound, log2 elems (default 16)\n"

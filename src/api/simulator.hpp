@@ -79,14 +79,13 @@ struct SimulatorOptions {
   ThreadPool* pool = nullptr;     // kInnerPool/kStaticPool; defaults to global
   runtime::SliceScheduler* scheduler = nullptr;  // kWorkStealing; defaults to global
   uint64_t grain = 1;             // scheduler chunk size (tasks per pop)
-  // Device backend the kernels run on: "host" (reference), "blocked"
-  // (cache-blocked host device), "simd" (runtime-dispatched vector tiers)
-  // or "cuda" (compile-gated), optionally with a "+fp32"/"+bf16" precision
-  // suffix. Every conforming backend is bitwise identical at a given
+  // Device backend the kernels run on: "host" (reference) or "simd"
+  // (runtime-dispatched vector tiers), optionally with a "+fp32"/"+bf16"
+  // precision suffix. Both backends are bitwise identical at a given
   // precision, so results never depend on this choice;
-  // device::make_backend throws std::invalid_argument for unknown or
-  // compiled-out names. In sharded runs each worker process constructs its
-  // own instance of this backend after the fork.
+  // device::make_backend throws std::invalid_argument for unknown names.
+  // In sharded runs each worker process constructs its own instance of
+  // this backend after the fork.
   std::string backend = "host";
   // GEMM operand precision: "fp32" (default; bitwise contract) or "bf16"
   // (mixed precision: bf16 operands, fp32 accumulation — deterministic,

@@ -2,26 +2,23 @@
 //
 // A DeviceBackend owns the two kernels every executor needs — GEMM and a
 // permutation-map apply — plus the compiled fused stem window built on
-// them, aligned scratch management and explicit upload/download with
-// DeviceStats accounting. The executors (execute_tree / execute_fused /
-// run_sliced) take a backend pointer and route every kernel through it; a
-// null backend means host_backend().
+// them, with DeviceStats accounting. The executors (execute_tree /
+// execute_fused / run_sliced) take a backend pointer and route every
+// kernel through it; a null backend means host_backend().
 //
 // The contract every implementation must honor: for the same inputs the
 // output is BITWISE identical to the host kernels. Backends are free to
-// block, pack, vectorize and stage however they like, but the per-element
+// block, pack and vectorize however they like, but the per-element
 // floating-point reduction order is part of the interface — the
 // distributed drivers merge partials from heterogeneous fleets, and the
 // bitwise-stability guarantee of the whole system (tests/test_device,
 // tests/test_dist, the CI byte-diff jobs) rests on this.
 //
-// Registry: make_backend("host" | "blocked" | "simd" | "cuda"). "host"
-// delegates to exec::cgemm / PermuteMap::apply unchanged; "blocked" runs
-// cache-blocked, alignment-aware, compiler-vectorizable kernels with the
-// identical reduction order; "simd" runs the explicit-intrinsic vector
-// tiers (runtime avx2/avx512/neon dispatch, src/device/cpu_probe.*) with
-// the same bits; "cuda" is compile-gated behind LTNS_ENABLE_CUDA (listed
-// as unavailable otherwise) so real hardware is a drop-in later.
+// Registry: make_backend("host" | "simd"). "host" delegates to
+// exec::cgemm / PermuteMap::apply unchanged and is the reference; "simd"
+// runs the explicit-intrinsic vector tiers (runtime avx2/avx512/neon
+// dispatch, src/device/cpu_probe.*) with the same bits. Both read host
+// tensors in place, so a stem window is one path with no staging.
 //
 // Backend SPECS: every name accepts an optional precision suffix,
 // "name+fp32" (the default) or "name+bf16" (the mixed-precision mode:
@@ -47,8 +44,6 @@
 namespace ltns::device {
 
 struct DeviceCaps {
-  bool available = true;       // constructible in this build
-  bool unified_memory = true;  // kernels read host tensors in place
   size_t alignment = exec::kTensorAlignment;  // required/guaranteed buffer alignment
   size_t simd_lanes = 8;  // float lanes the kernels target (cpu_probe's active tier)
   std::string isa;        // active ISA tier label ("avx2", "portable", ...)
@@ -62,21 +57,11 @@ class DeviceBackend {
   virtual ~DeviceBackend() = default;
 
   // Operand precision of this instance's GEMM kernels (from the backend
-  // spec). Permute and transfers are precision-blind data movement.
+  // spec). Permute is precision-blind data movement.
   exec::Precision precision() const { return precision_; }
 
   virtual const char* name() const = 0;
   virtual DeviceCaps capabilities() const = 0;
-
-  // --- aligned scratch + transfers ---------------------------------------
-  // Host-class backends hand out host pointers (unified memory); transfers
-  // are still real copies with bytes/ns accounting, so the upload/download
-  // seam behaves identically when a discrete device replaces them.
-  virtual exec::cfloat* alloc_elems(size_t n);
-  virtual void free_elems(exec::cfloat* p, size_t n);
-  virtual void upload(exec::cfloat* dst, const exec::cfloat* src, size_t n, DeviceStats* stats);
-  virtual void download(exec::cfloat* dst, const exec::cfloat* src, size_t n,
-                        DeviceStats* stats);
 
   // --- kernels ------------------------------------------------------------
   // C = A · B, row-major complex float, C overwritten (exec::cgemm shape).
@@ -104,9 +89,7 @@ class DeviceBackend {
   // step's b_order).
   // `w` holds the working tensor in prog.in_ixs layout; `w` and `tmp` are
   // scratch of prog.scratch_elems elements, both clobbered. The result
-  // (prog.out_ixs layout) lands in `out`. Staged (non-unified) backends
-  // upload the working tensor and each branch and download the result
-  // through upload/download, so transfers are counted per subtask.
+  // (prog.out_ixs layout) lands in `out`.
   void run_stem_window(const exec::StemProgram& prog, const exec::cfloat* const* branches,
                        exec::cfloat* w, exec::cfloat* tmp, exec::cfloat* out,
                        exec::ContractStats* cs, DeviceStats* stats);
@@ -130,10 +113,10 @@ struct BackendSpec {
   std::string spec() const;
 };
 
-// Splits "blocked+bf16" -> {blocked, kBf16}. Empty spec means the default
+// Splits "simd+bf16" -> {simd, kBf16}. Empty spec means the default
 // backend ("host"). Throws std::invalid_argument for an unknown precision
 // suffix; the NAME is validated later by make_backend (so help/error paths
-// can parse specs for unavailable backends).
+// can parse specs naming unknown backends).
 BackendSpec parse_backend_spec(const std::string& spec);
 
 // Merges a worker-local --backend override with a job's backend spec: the
@@ -148,12 +131,12 @@ std::string merge_backend_override(const std::string& job_spec,
 // The shared fp32 "host" instance: what a null backend pointer means.
 DeviceBackend& host_backend();
 
-// Every registered backend, available or not (the CLI's `--backend=help`).
+// Every registered backend (the CLI's `--backend=help`).
 std::vector<BackendInfo> available_backends();
 
 // Constructs a backend from a "name[+precision]" spec; throws
-// std::invalid_argument for unknown names/precisions and for backends
-// compiled out of this build, with a message that lists what IS available.
+// std::invalid_argument for unknown names/precisions, with a message that
+// lists the known backends.
 std::unique_ptr<DeviceBackend> make_backend(const std::string& spec);
 
 // Human-readable listing of every backend with capability/alignment info.

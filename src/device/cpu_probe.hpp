@@ -1,6 +1,6 @@
 // Runtime CPU capability probe: which vector ISA tier the simd backend's
-// dispatch selects, and the lanes/isa every CPU-class backend reports in
-// its DeviceCaps (the hard-coded simd_lanes guesses are gone).
+// dispatch selects, and the lanes/isa both backends report in their
+// DeviceCaps.
 //
 // Detection is cached on first use. The LTNS_FORCE_ISA environment variable
 // (portable | avx2 | avx512 | neon) clamps the active tier DOWN for the CI
@@ -27,8 +27,7 @@ struct CpuProbe {
 const CpuProbe& cpu_probe();
 
 // Float lanes of the active tier — the DeviceCaps::simd_lanes source of
-// truth for host/blocked/simd (and the cuda scaffolding, which runs these
-// same CPU kernels until real hardware lands).
+// truth for host and simd.
 size_t probe_simd_lanes();
 
 // "avx2", "avx512 (forced: portable)", ... for capability descriptions.

@@ -4,15 +4,16 @@
 // output is the host path's output by definition — this is the backend
 // every other implementation is byte-compared against, the default the
 // Simulator and CLI run on, and what a null backend pointer means
-// (host_backend()). Under a +bf16 spec the GEMM runs exec::cgemm_mixed
-// (the portable-tier bf16 chain), which every other bf16 backend matches
-// bitwise the same way the fp32 backends match exec::cgemm.
+// (host_backend()). Under a +bf16 spec the GEMM runs the portable-tier
+// bf16 chain (exec::cgemm_simd at IsaTier::kPortable), which every other
+// bf16 backend matches bitwise the same way the fp32 backends match
+// exec::cgemm.
 #include <memory>
 
 #include "device/backend.hpp"
 #include "device/cpu_probe.hpp"
 #include "exec/gemm.hpp"
-#include "exec/mixed_gemm.hpp"
+#include "exec/simd_kernels.hpp"
 
 namespace ltns::device {
 
@@ -26,8 +27,6 @@ class HostBackend final : public DeviceBackend {
 
   DeviceCaps capabilities() const override {
     DeviceCaps c;
-    c.available = true;
-    c.unified_memory = true;
     c.alignment = exec::kTensorAlignment;
     // Lanes from the runtime probe: what the compiler's auto-vectorizer can
     // actually use on this machine, not a hard-coded guess.
@@ -41,7 +40,7 @@ class HostBackend final : public DeviceBackend {
   void gemm(int m, int n, int k, const exec::cfloat* a, const exec::cfloat* b, exec::cfloat* c,
             ThreadPool* pool, DeviceStats* stats) override {
     if (precision() == exec::Precision::kBf16)
-      exec::cgemm_mixed(m, n, k, a, b, c, pool);
+      exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a, b, c, pool);
     else
       exec::cgemm(m, n, k, a, b, c, pool);
     if (stats) stats->gemm_calls += 1;

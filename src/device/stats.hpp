@@ -3,9 +3,10 @@
 // One DeviceStats is kept per worker next to its ExecStats and merged once
 // at the end of a run, so recording needs no synchronization. The transfer
 // fields follow the bytes/ns-to-device accounting convention of real
-// offload runtimes: host-class backends with unified memory legitimately
-// report zero transfer bytes (kernels read tensors in place), staged
-// backends (packed-panel scratch, a real accelerator) report every copy.
+// offload runtimes. Both backends read tensors in place: "host" reports
+// zero transfer bytes and "simd" reports its panel packing as to-device
+// traffic. No backend copies results back, so the to-host fields stay 0;
+// they remain because the wire and metrics encodings carry them.
 // This header is dependency-free on purpose: both the exec layer and the
 // runtime telemetry embed it.
 #pragma once

@@ -125,8 +125,13 @@ std::unique_ptr<WorkerJobCtx> plan_job(const Job& job, int worker_id,
   // unless it pins its own (+fp32/+bf16) — bitwise identity across
   // conforming backends at one precision is what lets a heterogeneous
   // fleet share one reduction.
-  ctx->backend_name = device::merge_backend_override(job.backend, backend_override);
-  ctx->backend = device::make_backend(ctx->backend_name);
+  // A job from an older coordinator may name a backend this build lacks.
+  try {
+    ctx->backend_name = device::merge_backend_override(job.backend, backend_override);
+    ctx->backend = device::make_backend(ctx->backend_name);
+  } catch (const std::exception& e) {
+    throw std::runtime_error("job " + std::to_string(job.job_id) + ": " + e.what());
+  }
   ctx->executor = exec::SliceExecutor(job.executor);
   ctx->grain = job.grain;
   ctx->tel.shard = worker_id;

@@ -25,12 +25,15 @@
 // partial added (never stored) into C. Rows below a full lane block, and
 // every tail on NEON and portable, run the same chain in scalar code.
 //
-// MIXED PRECISION (bf16 operands, fp32 accumulation): operands are rounded
+// MIXED PRECISION (bf16 operands, fp32 accumulation — the paper's mixed
+// configuration, half the operand bytes per flop): operands are rounded
 // to bfloat16 (round-to-nearest-even) on load/pack and the identical fp32
 // chain runs on the rounded values. That keeps mixed output DETERMINISTIC —
 // bitwise identical across tiers, backends and process counts — while its
 // distance from the fp32 reference is only ULP-bounded (the pinned corpus
 // in tests/test_kernels_parity.cpp and the e2e --compare-mode=ulp:<N>).
+// cgemm_simd(IsaTier::kPortable, Precision::kBf16, ...) is the bf16
+// reference, exactly as exec::cgemm is the fp32 one.
 #pragma once
 
 #include <cstdint>

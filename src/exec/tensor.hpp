@@ -19,7 +19,7 @@ namespace ltns::exec {
 using cfloat = std::complex<float>;
 
 // Payload alignment: every Tensor's storage starts on a 64-byte boundary so
-// blocked/SIMD kernels and device uploads never take an unaligned path.
+// blocked/SIMD kernels and panel packing never take an unaligned path.
 inline constexpr size_t kTensorAlignment = 64;
 static_assert(kTensorAlignment % alignof(cfloat) == 0 &&
                   (kTensorAlignment & (kTensorAlignment - 1)) == 0,

@@ -1,16 +1,15 @@
 // Device-backend subsystem tests (src/device/). The load-bearing
 // invariants:
-//   1. the registry lists host/blocked/simd/cuda, constructs the available
-//      ones (with or without a +fp32/+bf16 precision suffix),
-//      and fails unknown or compiled-out names with a message naming what
-//      IS available;
-//   2. BlockedBackend output is BITWISE identical to HostBackend (and to
-//      the raw host path) for gemm, permute, stem windows and whole sliced
-//      runs — across randomized shapes, pool widths, executors and worker
-//      counts (the ISSUE acceptance criterion);
-//   3. transfer accounting: upload/download count bytes both ways, the
-//      blocked backend reports nonzero to-device traffic (panel packing +
-//      staged stem windows), the unified host backend reports zero;
+//   1. the registry lists host and simd, constructs both (with or without
+//      a +fp32/+bf16 precision suffix), and fails unknown names — removed
+//      ones included — with a message naming the known backends;
+//   2. SimdBackend output is BITWISE identical to HostBackend (and to the
+//      raw host path) for gemm, contract, stem windows and whole sliced
+//      runs — across degenerate shapes, pool widths, executors and worker
+//      counts (kernel-level fuzzing lives in test_kernels_parity);
+//   3. transfer accounting: the simd backend reports its panel packing as
+//      to-device traffic, the host backend reports zero, and a stem window
+//      downloads nothing;
 //   4. DeviceStats rides ExecStats/ExecutorSnapshot through run_sliced.
 #include <gtest/gtest.h>
 
@@ -44,27 +43,16 @@ using test::bitwise_equal;
 
 // --- registry -------------------------------------------------------------
 
-TEST(DeviceRegistry, ListsHostBlockedSimdAndCuda) {
+TEST(DeviceRegistry, ListsHostAndSimd) {
   auto all = available_backends();
-  ASSERT_EQ(all.size(), 4u);
+  ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].name, "host");
-  EXPECT_TRUE(all[0].caps.available);
-  EXPECT_TRUE(all[0].caps.unified_memory);
-  EXPECT_EQ(all[1].name, "blocked");
-  EXPECT_TRUE(all[1].caps.available);
-  EXPECT_FALSE(all[1].caps.unified_memory);  // staged stem windows
-  EXPECT_EQ(all[2].name, "simd");
-  EXPECT_TRUE(all[2].caps.available);
-  EXPECT_TRUE(all[2].caps.unified_memory);
-  EXPECT_EQ(all[3].name, "cuda");
-#ifndef LTNS_ENABLE_CUDA
-  EXPECT_FALSE(all[3].caps.available);
-#endif
+  EXPECT_EQ(all[1].name, "simd");
   for (const auto& b : all) {
     EXPECT_GE(b.caps.alignment, alignof(cfloat));
     EXPECT_FALSE(b.caps.description.empty());
     // Lanes/isa come from the runtime dispatch probe, not hard-coded
-    // guesses: every CPU-class backend reports the same active tier.
+    // guesses: both backends report the same active tier.
     EXPECT_EQ(b.caps.simd_lanes, probe_simd_lanes()) << b.name;
     EXPECT_EQ(b.caps.isa, exec::isa_name(cpu_probe().active)) << b.name;
   }
@@ -72,7 +60,6 @@ TEST(DeviceRegistry, ListsHostBlockedSimdAndCuda) {
 
 TEST(DeviceRegistry, ConstructsByNameAndEmptyMeansHost) {
   EXPECT_STREQ(make_backend("host")->name(), "host");
-  EXPECT_STREQ(make_backend("blocked")->name(), "blocked");
   EXPECT_STREQ(make_backend("simd")->name(), "simd");
   EXPECT_STREQ(make_backend("")->name(), "host");
 }
@@ -81,51 +68,40 @@ TEST(DeviceRegistry, PrecisionSpecsParseAndDefaultToFp32) {
   EXPECT_EQ(make_backend("host")->precision(), exec::Precision::kFp32);
   EXPECT_EQ(make_backend("simd+fp32")->precision(), exec::Precision::kFp32);
   EXPECT_EQ(make_backend("simd+bf16")->precision(), exec::Precision::kBf16);
-  EXPECT_EQ(make_backend("blocked+bf16")->precision(), exec::Precision::kBf16);
+  EXPECT_EQ(make_backend("host+bf16")->precision(), exec::Precision::kBf16);
   EXPECT_THROW(make_backend("host+fp64"), std::invalid_argument);
   const auto spec = parse_backend_spec("simd+bf16");
   EXPECT_EQ(spec.name, "simd");
   EXPECT_EQ(spec.precision, exec::Precision::kBf16);
   EXPECT_EQ(spec.spec(), "simd+bf16");
-  EXPECT_EQ(parse_backend_spec("blocked").spec(), "blocked");
+  EXPECT_EQ(parse_backend_spec("simd").spec(), "simd");
 }
 
 TEST(DeviceRegistry, UnknownNameFailsListingKnownBackends) {
-  try {
-    make_backend("tpu");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("tpu"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("host"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("blocked"), std::string::npos) << msg;
+  // "blocked" and "cuda" were backends once; specs naming them now fail.
+  for (const std::string name : {"tpu", "blocked", "cuda", "cuda+bf16"}) {
+    try {
+      make_backend(name);
+      FAIL() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + parse_backend_spec(name).name + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("known backends: host simd"), std::string::npos) << msg;
+    }
   }
 }
-
-#ifndef LTNS_ENABLE_CUDA
-TEST(DeviceRegistry, CompiledOutCudaNamesTheGate) {
-  try {
-    make_backend("cuda");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("LTNS_ENABLE_CUDA"), std::string::npos) << msg;
-  }
-}
-#endif
 
 TEST(DeviceRegistry, HelpListsEveryBackendWithAlignment) {
   const std::string help = backend_help();
   EXPECT_NE(help.find("host"), std::string::npos);
-  EXPECT_NE(help.find("blocked"), std::string::npos);
-  EXPECT_NE(help.find("cuda"), std::string::npos);
+  EXPECT_NE(help.find("simd"), std::string::npos);
   EXPECT_NE(help.find("alignment=64"), std::string::npos);
 }
 
-// --- tensor alignment (the blocked kernels' precondition) -----------------
+// --- tensor alignment (the vector kernels' precondition) ------------------
 
 TEST(DeviceAlignment, TensorStorageIs64ByteAligned) {
-  static_assert(exec::kTensorAlignment == 64, "blocked kernels assume 64-byte tensors");
+  static_assert(exec::kTensorAlignment == 64, "vector kernels assume 64-byte tensors");
   for (int rank : {0, 1, 3, 7, 12}) {
     std::vector<int> ixs;
     for (int i = 0; i < rank; ++i) ixs.push_back(i);
@@ -136,35 +112,6 @@ TEST(DeviceAlignment, TensorStorageIs64ByteAligned) {
     exec::Tensor c = t;
     EXPECT_EQ(reinterpret_cast<uintptr_t>(c.raw()) % exec::kTensorAlignment, 0u);
   }
-}
-
-TEST(DeviceAlignment, BackendScratchHonorsCapabilityAlignment) {
-  for (const char* name : {"host", "blocked", "simd"}) {
-    auto b = make_backend(name);
-    const size_t align = b->capabilities().alignment;
-    cfloat* p = b->alloc_elems(1000);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u) << name;
-    b->free_elems(p, 1000);
-  }
-}
-
-// --- transfer accounting --------------------------------------------------
-
-TEST(DeviceTransfers, UploadDownloadRoundTripCountsBothDirections) {
-  auto b = make_backend("blocked");
-  auto src = random_buf(4096, 9);
-  cfloat* dev = b->alloc_elems(4096);
-  DeviceStats st;
-  b->upload(dev, src.data(), 4096, &st);
-  std::vector<cfloat> back(4096);
-  b->download(back.data(), dev, 4096, &st);
-  b->free_elems(dev, 4096);
-  EXPECT_EQ(std::memcmp(back.data(), src.data(), 4096 * sizeof(cfloat)), 0);
-  EXPECT_EQ(st.uploads, 1u);
-  EXPECT_EQ(st.downloads, 1u);
-  EXPECT_EQ(st.bytes_to_device, 4096.0 * sizeof(cfloat));
-  EXPECT_EQ(st.bytes_to_host, 4096.0 * sizeof(cfloat));
-  EXPECT_GE(st.ns_to_device, 0.0);
 }
 
 TEST(DeviceStatsMergeAndSince, FieldwiseArithmetic) {
@@ -186,7 +133,7 @@ TEST(DeviceStatsMergeAndSince, FieldwiseArithmetic) {
   EXPECT_EQ(d.stem_steps, a.stem_steps);
 }
 
-// --- kernel parity: bitwise host == blocked -------------------------------
+// --- kernel parity: bitwise host == simd ----------------------------------
 
 // Shapes chosen to hit every path: 4x4 tiles, ragged row/column edges, the
 // narrow bandwidth-bound regime, multiple K panels (k > 256), and tiny
@@ -201,9 +148,9 @@ const GemmShape kShapes[] = {
     {4, 0, 4},     {4, 4, 0},
 };
 
-TEST(BlockedBackend, GemmBitwiseIdenticalToHostSerial) {
+TEST(SimdBackend, GemmBitwiseIdenticalToHostSerial) {
   auto host = make_backend("host");
-  auto blocked = make_backend("blocked");
+  auto simd = make_backend("simd");
   uint64_t seed = 1;
   for (const auto& s : kShapes) {
     auto a = random_buf(size_t(s.m) * size_t(std::max(s.k, 1)), seed++);
@@ -212,7 +159,7 @@ TEST(BlockedBackend, GemmBitwiseIdenticalToHostSerial) {
     std::vector<cfloat> c2(size_t(s.m) * s.n, cfloat{9, 9});
     DeviceStats st1, st2;
     host->gemm(s.m, s.n, s.k, a.data(), b.data(), c1.data(), nullptr, &st1);
-    blocked->gemm(s.m, s.n, s.k, a.data(), b.data(), c2.data(), nullptr, &st2);
+    simd->gemm(s.m, s.n, s.k, a.data(), b.data(), c2.data(), nullptr, &st2);
     // An m=0 or n=0 output is empty, and memcmp must not see its null data().
     EXPECT_TRUE(c1.empty() || std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)) == 0)
         << "m=" << s.m << " n=" << s.n << " k=" << s.k;
@@ -221,9 +168,9 @@ TEST(BlockedBackend, GemmBitwiseIdenticalToHostSerial) {
   }
 }
 
-TEST(BlockedBackend, GemmBitwiseIdenticalToHostAcrossPoolWidths) {
+TEST(SimdBackend, GemmBitwiseIdenticalToHostAcrossPoolWidths) {
   auto host = make_backend("host");
-  auto blocked = make_backend("blocked");
+  auto simd = make_backend("simd");
   const int m = 120, n = 70, k = 300;  // big enough to cross the parallel threshold
   auto a = random_buf(size_t(m) * k, 100);
   auto b = random_buf(size_t(k) * n, 101);
@@ -231,46 +178,10 @@ TEST(BlockedBackend, GemmBitwiseIdenticalToHostAcrossPoolWidths) {
     ThreadPool pool(workers);
     std::vector<cfloat> c1(size_t(m) * n), c2(size_t(m) * n);
     host->gemm(m, n, k, a.data(), b.data(), c1.data(), &pool, nullptr);
-    blocked->gemm(m, n, k, a.data(), b.data(), c2.data(), &pool, nullptr);
+    simd->gemm(m, n, k, a.data(), b.data(), c2.data(), &pool, nullptr);
     EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)), 0)
         << "workers=" << workers;
   }
-}
-
-TEST(BlockedBackend, GemmFuzzRandomShapesBitwise) {
-  auto host = make_backend("host");
-  auto blocked = make_backend("blocked");
-  Rng rng(2024);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int m = 1 + int(rng.next_u64() % 90);
-    const int n = 1 + int(rng.next_u64() % 90);
-    const int k = 1 + int(rng.next_u64() % 600);  // crosses the 256 K-panel
-    auto a = random_buf(size_t(m) * k, 500 + uint64_t(trial));
-    auto b = random_buf(size_t(k) * n, 900 + uint64_t(trial));
-    std::vector<cfloat> c1(size_t(m) * n), c2(size_t(m) * n);
-    host->gemm(m, n, k, a.data(), b.data(), c1.data(), nullptr, nullptr);
-    blocked->gemm(m, n, k, a.data(), b.data(), c2.data(), nullptr, nullptr);
-    ASSERT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)), 0)
-        << "trial " << trial << ": m=" << m << " n=" << n << " k=" << k;
-  }
-}
-
-TEST(BlockedBackend, GemmPackingCountsToDeviceTraffic) {
-  auto blocked = make_backend("blocked");
-  const int m = 32, n = 32, k = 32;
-  auto a = random_buf(size_t(m) * k, 7);
-  auto b = random_buf(size_t(k) * n, 8);
-  std::vector<cfloat> c(size_t(m) * n);
-  DeviceStats st;
-  blocked->gemm(m, n, k, a.data(), b.data(), c.data(), nullptr, &st);
-  // The packed B panel is the staging copy: n*k elements for one panel.
-  EXPECT_EQ(st.bytes_to_device, double(n) * k * sizeof(cfloat));
-  EXPECT_GE(st.uploads, 1u);
-  // The unified host backend moves nothing.
-  auto host = make_backend("host");
-  DeviceStats hst;
-  host->gemm(m, n, k, a.data(), b.data(), c.data(), nullptr, &hst);
-  EXPECT_EQ(hst.bytes_to_device, 0.0);
 }
 
 TEST(SimdBackend, NarrowGemmPackingCountsToDeviceTraffic) {
@@ -304,32 +215,11 @@ TEST(SimdBackend, NarrowGemmPackingCountsToDeviceTraffic) {
   }
 }
 
-TEST(BlockedBackend, PermuteBitwiseIdenticalToHost) {
-  auto host = make_backend("host");
-  auto blocked = make_backend("blocked");
-  Rng rng(77);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int r = 2 + int(rng.next_u64() % 10);
-    std::vector<int> ixs;
-    for (int i = 0; i < r; ++i) ixs.push_back(i);
-    auto t = exec::random_tensor(ixs, 4000 + uint64_t(trial));
-    std::vector<int> order = ixs;
-    for (int i = r - 1; i > 0; --i)
-      std::swap(order[size_t(i)], order[rng.next_u64() % uint64_t(i + 1)]);
-    DeviceStats st1, st2;
-    auto p1 = host->permute(t, order, &st1);
-    auto p2 = blocked->permute(t, order, &st2);
-    ASSERT_TRUE(bitwise_equal(p1, p2)) << "trial " << trial;
-    EXPECT_EQ(st1.permute_calls, 1u);
-    EXPECT_EQ(st2.permute_calls, 1u);
-  }
-}
-
 TEST(DeviceBackend, ContractMatchesRawHostPathBitwise) {
   auto t1 = exec::random_tensor({0, 1, 2, 3, 4, 5, 6, 7}, 11);
   auto t2 = exec::random_tensor({4, 5, 6, 7, 8, 9}, 12);
   auto raw = exec::contract(t1, t2);
-  for (const char* name : {"host", "blocked", "simd"}) {
+  for (const char* name : {"host", "simd"}) {
     auto b = make_backend(name);
     exec::ContractStats cs;
     DeviceStats ds;
@@ -360,7 +250,7 @@ TEST(DeviceBackend, StemWindowBatchedMatchesStepLoopBitwise) {
   }
   EXPECT_EQ(exec::compile_stem_program(w0.ixs(), branch_ixs).peak_elems, live_peak);
 
-  for (const char* name : {"host", "blocked", "simd"}) {
+  for (const char* name : {"host", "simd"}) {
     auto backend = make_backend(name);
     exec::ContractStats cs;
     DeviceStats ds;
@@ -368,15 +258,7 @@ TEST(DeviceBackend, StemWindowBatchedMatchesStepLoopBitwise) {
     EXPECT_TRUE(bitwise_equal(expect, got)) << name;
     EXPECT_EQ(ds.stem_steps, branches.size()) << name;
     EXPECT_EQ(cs.flops, want.flops) << name;
-    if (std::string(name) == "blocked") {
-      // Staged: the window uploads w + each branch and downloads the result.
-      EXPECT_GE(ds.uploads, 1u + branches.size());
-      EXPECT_GE(ds.downloads, 1u);
-      EXPECT_GT(ds.bytes_to_device, 0.0);
-      EXPECT_GT(ds.bytes_to_host, 0.0);
-    } else {
-      EXPECT_EQ(ds.downloads, 0u);  // unified memory: nothing staged
-    }
+    EXPECT_EQ(ds.downloads, 0u) << name;  // kernels read host tensors in place
   }
 }
 
@@ -412,7 +294,7 @@ TEST(RunSlicedBackends, BitwiseIdenticalAcrossBackendsExecutorsAndWorkers) {
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);  // raw host path
   ASSERT_TRUE(ref.completed);
 
-  for (const char* name : {"host", "blocked", "simd"}) {
+  for (const char* name : {"host", "simd"}) {
     auto backend = make_backend(name);
     for (auto ex : {exec::SliceExecutor::kInnerPool, exec::SliceExecutor::kStaticPool,
                     exec::SliceExecutor::kWorkStealing}) {
@@ -449,7 +331,7 @@ TEST(RunSlicedBackends, FusedPathBitwiseIdenticalAcrossBackends) {
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);
   ASSERT_TRUE(ref.completed);
 
-  for (const char* name : {"host", "blocked", "simd"}) {
+  for (const char* name : {"host", "simd"}) {
     auto backend = make_backend(name);
     for (int workers : {1, 2}) {
       ThreadPool pool(workers);
@@ -465,24 +347,6 @@ TEST(RunSlicedBackends, FusedPathBitwiseIdenticalAcrossBackends) {
       EXPECT_GT(r.stats.device.stem_steps, 0u) << name;
     }
   }
-}
-
-TEST(RunSlicedBackends, BlockedReportsStagedTransfersOnFusedPath) {
-  auto f = make_fixture();
-  auto stem = tn::extract_stem(*f.tree);
-  auto plan = exec::plan_fused(stem, f.slices.to_vector(), 1 << 12);
-  auto backend = make_backend("blocked");
-  ThreadPool pool1(1);
-  exec::SliceRunOptions ro;
-  ro.executor = exec::SliceExecutor::kInnerPool;
-  ro.pool = &pool1;
-  ro.fused = &plan;
-  ro.backend = backend.get();
-  auto r = exec::run_sliced(*f.tree, f.leaves(), f.slices, ro);
-  ASSERT_TRUE(r.completed);
-  EXPECT_GT(r.executor_stats.device.bytes_to_device, 0.0);
-  EXPECT_GT(r.executor_stats.device.bytes_to_host, 0.0);
-  EXPECT_GT(r.executor_stats.device.uploads, 0u);
 }
 
 }  // namespace

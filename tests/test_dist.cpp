@@ -183,7 +183,7 @@ TEST(Wire, TelemetryRoundTripsExactly) {
   t.leases = 9;
   t.reduce_merges = 511;
   t.wall_seconds = 0.123456789;
-  t.backend = "blocked";
+  t.backend = "simd";
   t.executor.scheduled = 512;
   t.executor.stolen = 17;
   t.executor.finished = 512;
@@ -1272,12 +1272,12 @@ TEST(RunSharded, StragglerIsStolenFromAndRunStaysBitwise) {
 }
 
 // Heterogeneous device fleet: workers run DIFFERENT backends (host and
-// blocked). Because every conforming backend is
-// bitwise identical, the merged tensor must equal the 1-process host run
-// byte for byte even though the partials were computed by different device
-// implementations — and with a deterministic speed skew on the host
-// worker, the lease ledger must rebalance (steal) around it.
-TEST(RunSharded, MixedHostBlockedFleetRebalancesAndStaysBitwise) {
+// simd). Because every conforming backend is bitwise identical, the merged
+// tensor must equal the 1-process host run byte for byte even though the
+// partials were computed by different device implementations — and with
+// a deterministic speed skew on the host worker, the lease ledger must
+// rebalance (steal) around it.
+TEST(RunSharded, MixedHostSimdFleetRebalancesAndStaysBitwise) {
   auto f = make_sliced_fixture();
   exec::SliceRunOptions serial;
   serial.executor = exec::SliceExecutor::kInnerPool;
@@ -1288,14 +1288,14 @@ TEST(RunSharded, MixedHostBlockedFleetRebalancesAndStaysBitwise) {
 
   // Worker 0 (host backend) is dragged into a deterministic straggle so the
   // speed skew — and therefore the steal — happens on every run, not only
-  // when the hardware happens to make blocked faster.
+  // when the hardware happens to make simd faster.
   ScopedEnv slow_shard("LTNS_CHAOS_SLEEP_SHARD", "0");
   ScopedEnv slow_ms("LTNS_CHAOS_SLEEP_MS", "150");
   exec::ShardRunOptions so;
   so.processes = 3;
   so.workers_per_process = 1;
   so.lease_size = 1;
-  so.backends = {"host", "blocked", "blocked"};  // per-shard device mix
+  so.backends = {"host", "simd", "simd"};  // per-shard device mix
   auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
   ASSERT_TRUE(r.completed) << r.error;
   EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated))
@@ -1305,8 +1305,8 @@ TEST(RunSharded, MixedHostBlockedFleetRebalancesAndStaysBitwise) {
   // Telemetry names each worker's backend and carries its device counters.
   ASSERT_EQ(r.shards.size(), 3u);
   EXPECT_EQ(r.shards[0].backend, "host");
-  EXPECT_EQ(r.shards[1].backend, "blocked");
-  EXPECT_EQ(r.shards[2].backend, "blocked");
+  EXPECT_EQ(r.shards[1].backend, "simd");
+  EXPECT_EQ(r.shards[2].backend, "simd");
   uint64_t device_gemms = 0;
   for (const auto& s : r.shards) device_gemms += s.executor.device.gemm_calls;
   EXPECT_GT(device_gemms, 0u);
@@ -1326,14 +1326,14 @@ TEST(RunSharded, MixedBackendsBitwiseIdenticalPerShard) {
   exec::ShardRunOptions so;
   so.processes = 4;
   so.workers_per_process = 1;
-  so.backends = {"blocked", "host"};  // alternating per shard index
+  so.backends = {"simd", "host"};  // alternating per shard index
   auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
   ASSERT_TRUE(r.completed) << r.error;
   EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated));
   ASSERT_EQ(r.shards.size(), 4u);
-  EXPECT_EQ(r.shards[0].backend, "blocked");
+  EXPECT_EQ(r.shards[0].backend, "simd");
   EXPECT_EQ(r.shards[1].backend, "host");
-  EXPECT_EQ(r.shards[2].backend, "blocked");
+  EXPECT_EQ(r.shards[2].backend, "simd");
   EXPECT_EQ(r.shards[3].backend, "host");
 }
 
@@ -1348,7 +1348,7 @@ TEST(RunSharded, UnknownBackendSurfacesRegistryError) {
   auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
   EXPECT_FALSE(r.completed);
   EXPECT_NE(r.error.find("unknown device backend"), std::string::npos) << r.error;
-  EXPECT_NE(r.error.find("blocked"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("simd"), std::string::npos) << r.error;
 }
 
 // The fork-time fault hook (dies before it even says hello): its home
@@ -1886,6 +1886,15 @@ TEST(WorkerLoop, HostilePlanBlobIsReportedNamingTheJob) {
       plan_spec(amp_spec(other, test::zero_bits(other.num_qubits), 4), coordinate_options(1))
           .job.plan;
   expect_rejected(foreign, "another circuit's plan");
+  // A coordinator from before a backend was removed stamps its name into
+  // the kJob: the worker's error names the job and the backends it has.
+  for (const std::string name : {"blocked", "cuda"}) {
+    Job old = good;
+    old.backend = name;
+    const std::string ov = worker_verdict(old);
+    EXPECT_NE(ov.find("job 7: unknown device backend '" + name + "'"), std::string::npos) << ov;
+    EXPECT_NE(ov.find("known backends: host simd"), std::string::npos) << ov;
+  }
 
   // Seeded single-bit flips and truncations anywhere: each is rejected
   // naming the job, or decodes to the same contraction (a flip in the

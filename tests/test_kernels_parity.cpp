@@ -22,7 +22,6 @@
 #include "device/backend.hpp"
 #include "device/cpu_probe.hpp"
 #include "exec/gemm.hpp"
-#include "exec/mixed_gemm.hpp"
 #include "exec/permute.hpp"
 #include "exec/simd_kernels.hpp"
 #include "exec/tensor.hpp"
@@ -162,7 +161,8 @@ TEST(KernelsParityRowLane, TallNarrowBitwiseSerialAndPooled) {
             if (prec == Precision::kFp32)
               cgemm(m, n, k, a.data(), b.data(), want.data());
             else
-              cgemm_mixed(m, n, k, a.data(), b.data(), want.data());
+              cgemm_simd(IsaTier::kPortable, Precision::kBf16, m, n, k, a.data(), b.data(),
+                         want.data());
             for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
               cgemm_simd(tier, prec, m, n, k, a.data(), b.data(), got.data(), p);
               ASSERT_TRUE(same_bits(want.data(), got.data(), want.size()))
@@ -243,7 +243,6 @@ TEST(KernelsParityPermute, ElementGranularGatherPathBitwise) {
 TEST(KernelsParityBackends, GemmBitwiseAcrossAllAvailableSpecs) {
   Rng rng(0xabcd);
   for (const auto& info : device::available_backends()) {
-    if (!info.caps.available) continue;
     for (const char* suffix : {"", "+fp32", "+bf16"}) {
       const std::string spec = info.name + suffix;
       auto backend = device::make_backend(spec);
@@ -276,7 +275,6 @@ TEST(KernelsParityBackends, StemWindowBitwiseAcrossAllAvailableSpecs) {
     auto want = test::run_compiled_chain(*device::make_backend("host" + std::string(suffix)), w0,
                                          branches, &hcs, &hds);
     for (const auto& info : device::available_backends()) {
-      if (!info.caps.available) continue;
       const std::string spec = info.name + suffix;
       exec::ContractStats cs;
       device::DeviceStats ds;
@@ -299,7 +297,8 @@ TEST(KernelsParityBf16, BitwiseIdenticalAcrossTiers) {
     auto a = random_buf(size_t(m) * k, seed++);
     auto b = random_buf(size_t(k) * n, seed++);
     AlignedCfloatVec want(size_t(m) * n);
-    cgemm_mixed(m, n, k, a.data(), b.data(), want.data());  // portable reference
+    cgemm_simd(IsaTier::kPortable, Precision::kBf16, m, n, k, a.data(), b.data(),
+               want.data());  // portable reference
     for (IsaTier tier : vector_tiers()) {
       AlignedCfloatVec got(size_t(m) * n);
       cgemm_simd(tier, Precision::kBf16, m, n, k, a.data(), b.data(), got.data());
@@ -333,7 +332,7 @@ int64_t corpus_max_ulp(int m, int n, int k, uint64_t seed) {
   auto b = random_buf(size_t(k) * n, seed + 1);
   AlignedCfloatVec fp32(size_t(m) * n), bf16(size_t(m) * n);
   cgemm(m, n, k, a.data(), b.data(), fp32.data());
-  cgemm_mixed(m, n, k, a.data(), b.data(), bf16.data());
+  cgemm_simd(IsaTier::kPortable, Precision::kBf16, m, n, k, a.data(), b.data(), bf16.data());
   float scale = 0.f;
   for (const auto& v : fp32) {
     scale = std::max(scale, std::fabs(v.real()));
