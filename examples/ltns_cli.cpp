@@ -609,7 +609,7 @@ int cmd_plan(int argc, char** argv) {
     po.target_log2size = std::max(4.0, probe.log2size - depth);
   }
   auto plan = core::make_plan(ln.net, po);
-  std::printf("path (%s): cost 2^%.2f flops, max tensor 2^%.1f\n", plan.path_method.c_str(),
+  std::printf("path %s: cost 2^%.2f flops, max tensor 2^%.1f\n", plan.path_method.c_str(),
               plan.tree->total_log2cost(), plan.tree->max_log2size());
   std::printf("stem: %d tensors (%.1f%% of flops)\n", plan.stem.length(),
               100 * plan.stem.cost_fraction());

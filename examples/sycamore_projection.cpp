@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   po.target_log2size = 30;
   auto plan = core::make_plan(ln.net, po);
 
-  std::printf("path (%s): cost 2^%.2f flops, biggest tensor 2^%.1f\n", plan.path_method.c_str(),
+  std::printf("path %s: cost 2^%.2f flops, biggest tensor 2^%.1f\n", plan.path_method.c_str(),
               plan.tree->total_log2cost(), plan.tree->max_log2size());
   std::printf("stem: %d tensors carrying %.1f%% of the flops\n", plan.stem.length(),
               100 * plan.stem.cost_fraction());

@@ -1,12 +1,18 @@
 // Planner: the end-to-end planning pipeline of the paper.
 //
-//   network --(path optimizer)--> contraction tree
-//           --(stem extraction)--> stem
-//           --(Algorithm 1 slice finder)--> small slicing set
-//           --(Algorithm 2 SA refiner)--> low-overhead slicing set
+//   network --(path optimizer)--> path trials + tuned default path
+//           --(per trial: tree, stem, Algorithm 1 slice finder)-->
+//             sliced cost (Eq. 4) of each screened trial
+//           --(Algorithm 2 SA refiner, on the default and the screen's
+//              winner)--> the lower-cost refined plan
 //
-// Optionally plans with the greedy baseline slicer instead (for the Fig. 10
-// comparison) and picks whichever satisfies the bound with lower overhead.
+// The screen (kLifetimeRefined only) takes the default first, then the
+// other trials by (Eq. 1 cost, trial index), and stops at the first trial
+// whose unsliced cost reaches the best sliced cost found: Eq. 4 >= Eq. 1,
+// so no later trial can win. The two refines run on two threads with the
+// same seed; a tie keeps the default, so the plan is a pure function of
+// (network, PlanOptions). kLifetime and kGreedyBaseline slice the default
+// path only (the slicer ablations compare slicers on one tree).
 #pragma once
 
 #include <memory>
@@ -38,6 +44,8 @@ struct Plan {
   tn::Stem stem;
   SliceSet slices;
   SlicedMetrics metrics;
+  // The path trial the plan came from; kLifetimeRefined adds how many trials
+  // the sliced-cost screen ran, e.g. "greedy#0 (sliced screen 9/32)".
   std::string path_method;
 
   int num_slices() const { return slices.size(); }
@@ -51,7 +59,8 @@ Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt);
 // with equal text produce identical plans (make_plan is deterministic),
 // and any knob change — which may change the resolved plan — changes the
 // text. New fields MUST be appended here or the cache would serve stale
-// plans across the change.
+// plans across the change, and so must a change to how make_plan chooses
+// among path trials (the fixed "|choose:" token).
 std::string plan_options_text(const PlanOptions& opt);
 
 }  // namespace ltns::core

@@ -1,13 +1,15 @@
 // Multi-trial path optimization driver (the cotengra "anytime" loop).
 //
 // Runs a budget of randomized greedy / partition / community trials, keeps
-// the best tree by Eq. 1 cost, then applies subtree local tuning. This is
-// the front half of the planning pipeline; the back half (slicing) lives in
-// core/.
+// the best tree by Eq. 1 cost, then applies subtree local tuning. Every raw
+// trial is returned too, so the planner can rank them by their sliced cost
+// (core::make_plan). This is the front half of the planning pipeline; the
+// back half (slicing) lives in core/.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "tn/contraction_tree.hpp"
 
@@ -24,12 +26,21 @@ struct OptimizerOptions {
   uint64_t seed = 7;
 };
 
+// One raw (untuned) trial, in the order find_path ran it.
+struct PathTrial {
+  tn::SsaPath path;
+  double log2cost = 0;  // Eq. 1 total, log2 flops
+  int index = 0;        // position in PathResult::trials
+  std::string method;   // family and per-family trial number, e.g. "greedy#0"
+};
+
 struct PathResult {
   tn::SsaPath path;
   double log2cost = 0;     // Eq. 1 total, log2 flops
   double log2size = 0;     // biggest intermediate, log2 elements
-  std::string method;      // which trial family won
-  int trials_run = 0;
+  std::string method;      // the winning trial, e.g. "greedy#17+tune"
+  int best_trial = -1;     // index of the raw trial `path` was tuned from
+  std::vector<PathTrial> trials;  // every trial run
 };
 
 PathResult find_path(const tn::TensorNetwork& net, const OptimizerOptions& opt = {});

@@ -93,6 +93,18 @@ TEST(CacheKeys, DeterministicAndSensitiveToEveryInput) {
   seed.seed = po.seed + 1;
   EXPECT_NE(k, plan_key("circ-v1", "", seed));
 
+  // The rule that chooses among path trials is part of the key, so a plan
+  // filed under an earlier rule is never served. The refiner's own target
+  // and seed are not: make_plan overwrites both, so they must not split it.
+  EXPECT_NE(core::plan_options_text(po).find("|choose:sliced"), std::string::npos);
+  core::PlanOptions overwritten = po;
+  overwritten.refiner.target_log2size = po.refiner.target_log2size + 3;
+  overwritten.refiner.seed = po.refiner.seed + 1;
+  EXPECT_EQ(k, plan_key("circ-v1", "", overwritten));
+  core::PlanOptions moves = po;
+  moves.refiner.moves_per_temperature = po.refiner.moves_per_temperature + 1;
+  EXPECT_NE(k, plan_key("circ-v1", "", moves));
+
   // Output bit values are NOT an input: lowering is value-blind, so every
   // bitstring of one circuit shape files its plan under the same key. The
   // open POSITIONS still split it.

@@ -161,8 +161,22 @@ TEST(Optimizer, PicksBestAcrossFamilies) {
   opt.partition_trials = 4;
   auto r = find_path(ln.net, opt);
   expect_valid_path(ln.net, r.path);
-  EXPECT_GT(r.trials_run, 0);
   EXPECT_FALSE(r.method.empty());
+  // Every raw trial comes back, in run order, with its Eq. 1 cost; the
+  // result is the best of them, tuned (tuning only lowers the cost).
+  ASSERT_EQ(r.trials.size(), 12u);
+  for (size_t i = 0; i < r.trials.size(); ++i) {
+    const auto& t = r.trials[i];
+    EXPECT_EQ(t.index, int(i));
+    const std::string want =
+        i < 8 ? "greedy#" + std::to_string(i) : "partition#" + std::to_string(i - 8);
+    EXPECT_EQ(t.method, want);
+    expect_valid_path(ln.net, t.path);
+    EXPECT_DOUBLE_EQ(t.log2cost, tn::ContractionTree::build(ln.net, t.path).total_log2cost());
+    EXPECT_GE(t.log2cost, r.log2cost - 1e-9);
+  }
+  ASSERT_GE(r.best_trial, 0);
+  EXPECT_EQ(r.method.rfind(r.trials[size_t(r.best_trial)].method, 0), 0u) << r.method;
   // Best-of-N is at least as good as the deterministic greedy alone.
   auto tg = tn::ContractionTree::build(ln.net, greedy_path(ln.net));
   EXPECT_LE(r.log2cost, tg.total_log2cost() + 1e-9);

@@ -125,6 +125,97 @@ TEST(Planner, PlanIsBlindToOutputBitValues) {
   }
 }
 
+// The default path sliced the way make_plan slices it: find_path's best
+// tree, Algorithm 1, then Algorithm 2 seeded with opt.seed. Closed
+// networks only (no clamp to the open width).
+struct StagedPlan {
+  tn::SsaPath path;
+  std::vector<int> slices;
+  core::SlicedMetrics metrics;
+};
+
+StagedPlan staged_default_plan(const tn::TensorNetwork& net, const core::PlanOptions& po) {
+  auto pr = path::find_path(net, po.path);
+  auto tree = tn::ContractionTree::build(net, pr.path);
+  auto stem = tn::extract_stem(tree);
+  core::SliceFinderOptions f;
+  f.target_log2size = po.target_log2size;
+  core::SliceRefinerOptions r = po.refiner;
+  r.target_log2size = po.target_log2size;
+  r.seed = po.seed;
+  auto slices = core::refine_slices(stem, core::lifetime_slice_finder(stem, f), r);
+  return {pr.path, slices.to_vector(), core::evaluate_slicing(tree, slices)};
+}
+
+void expect_same_plan(const core::Plan& a, const core::Plan& b, const std::string& where) {
+  EXPECT_EQ(a.path.leaf_vertices, b.path.leaf_vertices) << where;
+  EXPECT_EQ(a.path.steps, b.path.steps) << where;
+  EXPECT_EQ(a.slices.to_vector(), b.slices.to_vector()) << where;
+  EXPECT_EQ(std::memcmp(&a.metrics, &b.metrics, sizeof(core::SlicedMetrics)), 0) << where;
+  EXPECT_EQ(a.path_method, b.path_method) << where;
+}
+
+// amp-grid20's network: the default path slices to a higher Eq. 4 cost than
+// another trial, so the sliced-cost screen must move the plan off it.
+TEST(Planner, ChoosesPathBySlicedCost) {
+  auto ln = test::small_network(4, 5, 14);
+  core::PlanOptions po;
+  po.target_log2size = 14;
+  const auto plan = core::make_plan(ln.net, po);
+  const auto staged = staged_default_plan(ln.net, po);
+  EXPECT_LT(plan.metrics.log2_total_cost, staged.metrics.log2_total_cost);
+  EXPECT_LE(plan.metrics.log2_overhead, staged.metrics.log2_overhead);
+  EXPECT_NE(plan.path.steps, staged.path.steps);
+  EXPECT_NE(plan.path_method.find("(sliced screen "), std::string::npos) << plan.path_method;
+  EXPECT_TRUE(core::satisfies_memory_bound(*plan.tree, plan.slices, po.target_log2size));
+  const auto fresh = core::evaluate_slicing(*plan.tree, plan.slices);
+  EXPECT_EQ(std::memcmp(&fresh, &plan.metrics, sizeof(core::SlicedMetrics)), 0);
+
+  // Two refines race on two threads; the plan must not depend on which
+  // finishes first.
+  for (int rep = 0; rep < 3; ++rep)
+    expect_same_plan(core::make_plan(ln.net, po), plan, "rep " + std::to_string(rep));
+}
+
+// Where the default path also slices cheapest, the plan is the one the
+// default path alone gives, bit for bit.
+TEST(Planner, KeepsDefaultPathWhenItWins) {
+  struct Case {
+    std::string name;
+    circuit::LoweredNetwork ln;
+    core::PlanOptions po;
+  };
+  std::vector<Case> cases;
+  {
+    core::PlanOptions po;
+    po.target_log2size = 16;
+    cases.push_back({"grid4x5 m12", test::small_network(4, 5, 12), po});
+  }
+  {
+    // The smoke-size plan-syc53 recipe: target = the path's biggest tensor - 6.
+    circuit::RqcOptions ro;
+    ro.cycles = 8;
+    ro.seed = 1;
+    auto ln = circuit::lower(circuit::random_quantum_circuit(circuit::Device::sycamore53(), ro));
+    circuit::simplify(ln);
+    core::PlanOptions po;
+    po.path.greedy_trials = 4;
+    po.path.partition_trials = 1;
+    po.target_log2size = std::max(4.0, path::find_path(ln.net, po.path).log2size - 6);
+    cases.push_back({"sycamore53 m8", std::move(ln), po});
+  }
+  for (const auto& c : cases) {
+    const auto plan = core::make_plan(c.ln.net, c.po);
+    const auto staged = staged_default_plan(c.ln.net, c.po);
+    EXPECT_EQ(plan.path.leaf_vertices, staged.path.leaf_vertices) << c.name;
+    EXPECT_EQ(plan.path.steps, staged.path.steps) << c.name;
+    EXPECT_EQ(plan.slices.to_vector(), staged.slices) << c.name;
+    EXPECT_EQ(std::memcmp(&plan.metrics, &staged.metrics, sizeof(core::SlicedMetrics)), 0)
+        << c.name;
+    expect_same_plan(core::make_plan(c.ln.net, c.po), plan, c.name + " second call");
+  }
+}
+
 TEST(Simulator, AmplitudeMatchesAcrossSlicerKinds) {
   auto c = test::small_rqc(3, 3, 6, 5);
   auto bits = test::zero_bits(c.num_qubits);

@@ -125,6 +125,25 @@ TEST(EvaluateSlicing, MoreSlicesNeverReduceTotal) {
   }
 }
 
+// Eq. 4 >= Eq. 1: slicing repeats work, it never removes any. make_plan's
+// sliced-cost screen stops at the first trial whose unsliced cost reaches
+// the best sliced cost found, which is exact only because of this bound.
+TEST(EvaluateSlicing, SlicedTotalNeverBelowUnsliced) {
+  Rng rng(0x5EC7);
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    auto net = tn::random_network(10 + int(seed % 9), 2.4 + 0.05 * double(seed % 7), seed);
+    auto tree = test::greedy_tree(net, seed, seed % 2 == 0 ? 0.0 : 0.8);
+    const auto edges = net.alive_edges();
+    for (int trial = 0; trial < 8; ++trial) {
+      SliceSet S(net);
+      const size_t k = rng.next_below(std::min<size_t>(edges.size(), 7) + 1);
+      while (size_t(S.size()) < k) S.add(edges[rng.next_below(edges.size())]);
+      EXPECT_GE(evaluate_slicing(tree, S).log2_total_cost, tree.total_log2cost() - 1e-9)
+          << "seed " << seed << " |S| " << k;
+    }
+  }
+}
+
 TEST(MemoryBound, DetectsOversizedNodes) {
   auto ln = test::small_network(4, 4, 8);
   auto tree = test::greedy_tree(ln.net);
