@@ -8,6 +8,7 @@
 // Pflops for the 2021 Gordon Bell work). We reproduce the pipeline and the
 // projection arithmetic; absolute complexity depends on path quality.
 #include <cmath>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "core/planner.hpp"
@@ -33,12 +34,9 @@ int main(int argc, char** argv) {
   // CG). Our in-repo planner finds fatter trees (EXPERIMENTS.md), so we
   // reproduce the paper's slicing DEPTH; the projection arithmetic is
   // unchanged.
-  po.target_log2size = 30;  // placeholder, set below from the found tree
-  {
-    auto probe_path = path::find_path(ln.net, po.path);
-    po.target_log2size = std::max(30.0, probe_path.log2size - 14.0);
-  }
-  auto plan = core::make_plan(ln.net, po);
+  auto probe_path = path::find_path(ln.net, po.path);
+  po.target_log2size = std::max(30.0, probe_path.log2size - 14.0);
+  auto plan = core::make_plan(ln.net, po, std::move(probe_path));
   std::printf("slicing target 2^%.0f (depth %.0f below the fattest tensor)\n",
               po.target_log2size, plan.tree->max_log2size() - po.target_log2size);
   std::printf("plan: cost 2^%.2f (~10^%.1f) flops, |S| = %d, overhead %.4f (paper <= 1.05)\n",

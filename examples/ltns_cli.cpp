@@ -75,6 +75,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "api/simulator.hpp"
@@ -604,11 +605,9 @@ int cmd_plan(int argc, char** argv) {
   core::PlanOptions po;
   po.path.greedy_trials = 32;
   po.path.partition_trials = 8;
-  {
-    auto probe = path::find_path(ln.net, po.path);
-    po.target_log2size = std::max(4.0, probe.log2size - depth);
-  }
-  auto plan = core::make_plan(ln.net, po);
+  auto probe = path::find_path(ln.net, po.path);
+  po.target_log2size = std::max(4.0, probe.log2size - depth);
+  auto plan = core::make_plan(ln.net, po, std::move(probe));
   std::printf("path %s: cost 2^%.2f flops, max tensor 2^%.1f\n", plan.path_method.c_str(),
               plan.tree->total_log2cost(), plan.tree->max_log2size());
   std::printf("stem: %d tensors (%.1f%% of flops)\n", plan.stem.length(),

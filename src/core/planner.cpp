@@ -52,8 +52,10 @@ void refine(Plan& plan, const SliceRefinerOptions& r) {
 }  // namespace
 
 Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt) {
-  auto pr = path::find_path(net, opt.path);
+  return make_plan(net, opt, path::find_path(net, opt.path));
+}
 
+Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt, path::PathResult pr) {
   // Open (output) edges survive to the root, so no slicing set can push the
   // root below their combined width — and the sliced runners merge subtask
   // results by addition, which is only sound over CLOSED edges. Clamp the

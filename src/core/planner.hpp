@@ -54,6 +54,10 @@ struct Plan {
 
 Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt);
 
+// make_plan over a path search the caller already ran: `pr` must be
+// path::find_path(net, opt.path), e.g. the probe that set the target.
+Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt, path::PathResult pr);
+
 // Canonical text of EVERY plan knob (including the nested optimizer and
 // refiner options), for content-addressed fingerprinting: two PlanOptions
 // with equal text produce identical plans (make_plan is deterministic),

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "api/simulator.hpp"
 #include "core/planner.hpp"
@@ -214,6 +215,19 @@ TEST(Planner, KeepsDefaultPathWhenItWins) {
         << c.name;
     expect_same_plan(core::make_plan(c.ln.net, c.po), plan, c.name + " second call");
   }
+}
+
+// `ltns_cli plan`'s recipe: a probe search sets the target, and make_plan
+// takes the probe instead of searching again. Same plan, one search.
+TEST(Planner, ReusesTheProbePathSearch) {
+  auto ln = test::small_network(4, 5, 12);
+  core::PlanOptions po;
+  const uint64_t before = path::find_path_invocations();
+  auto probe = path::find_path(ln.net, po.path);
+  po.target_log2size = std::max(4.0, probe.log2size - 6);
+  const auto reused = core::make_plan(ln.net, po, std::move(probe));
+  EXPECT_EQ(path::find_path_invocations(), before + 1);
+  expect_same_plan(reused, core::make_plan(ln.net, po), "probe overload");
 }
 
 TEST(Simulator, AmplitudeMatchesAcrossSlicerKinds) {

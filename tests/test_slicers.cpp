@@ -247,12 +247,13 @@ RefineInput refine_input(std::string name, circuit::LoweredNetwork ln, double be
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-// Refines `in` with seeds 1..20 through both refiners; every returned slice
-// set, SlicedMetrics field and RefineStats field must match bit for bit.
+// Refines `in` with seeds 1..`seeds` through both refiners; every returned
+// slice set, SlicedMetrics field and RefineStats field must match bit for
+// bit (exact_evals is the library's own: the reference has no screen).
 // Returns the summed stats so callers can check the moves were exercised.
-RefineStats expect_refiners_agree(const RefineInput& in) {
+RefineStats expect_refiners_agree(const RefineInput& in, uint64_t seeds = 20) {
   RefineStats sum;
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE(in.name + " seed " + std::to_string(seed));
     SliceRefinerOptions ro;
     ro.target_log2size = in.target;
@@ -278,6 +279,7 @@ RefineStats expect_refiners_agree(const RefineInput& in) {
     sum.proposed += gs.proposed;
     sum.accepted += gs.accepted;
     sum.dropped_useless += gs.dropped_useless;
+    sum.exact_evals += gs.exact_evals;
   }
   return sum;
 }
@@ -304,6 +306,23 @@ TEST(RefinerDifferential, Sycamore53MatchesFullReevaluation) {
   circuit::simplify(ln);
   auto st = expect_refiners_agree(refine_input("syc53 m6", std::move(ln), 6));
   EXPECT_GT(st.accepted, 0);
+  // The screen is live: some rejections skipped the ordered sum.
+  EXPECT_LT(st.exact_evals, st.proposed);
+}
+
+// At m12 the costs pass 2^50, where the running sum's rounding is coarsest;
+// m6 stays far below. Thousands of proposals here land within the screen's
+// margin of the current cost and must take the exact path.
+TEST(RefinerDifferential, Sycamore53AtScaleMatchesFullReevaluation) {
+  circuit::RqcOptions ro;
+  ro.cycles = 12;
+  auto ln = circuit::lower(circuit::random_quantum_circuit(circuit::Device::sycamore53(), ro));
+  circuit::simplify(ln);
+  auto in = refine_input("syc53 m12", std::move(ln), 4);
+  ASSERT_GT(evaluate_slicing(*in.tree, in.start).log2_total_cost, 50);
+  auto st = expect_refiners_agree(in, 2);
+  EXPECT_GT(st.accepted, 0);
+  EXPECT_LT(st.exact_evals, st.proposed);
 }
 
 TEST(RefinerDifferential, RandomNetworksMatchFullReevaluation) {
