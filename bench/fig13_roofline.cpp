@@ -38,21 +38,6 @@ std::vector<cfloat> random_buf(size_t n, uint64_t seed) {
   return b;
 }
 
-// SIMD tiers this machine can actually run, portable first (hardware
-// clamp; the compiled set is exec::compiled_isa_tiers()).
-std::vector<exec::IsaTier> runnable_tiers() {
-  using exec::IsaTier;
-  const auto det = device::cpu_probe().detected;
-  std::vector<IsaTier> out{IsaTier::kPortable};
-  if (det == IsaTier::kAvx512) {
-    out.push_back(IsaTier::kAvx2);
-    out.push_back(IsaTier::kAvx512);
-  } else if (det != IsaTier::kPortable) {
-    out.push_back(det);
-  }
-  return out;
-}
-
 double best_gemm_seconds(exec::IsaTier tier, exec::Precision prec, int n, const cfloat* a,
                          const cfloat* b, cfloat* c) {
   double best = 1e300;
@@ -81,7 +66,7 @@ int write_kernel_tiers_json(const char* path) {
                   "  \"gemm_n\": %d,\n  \"kernel_tiers\": [", n);
   double portable_seconds = 0;
   bool first = true;
-  for (auto tier : runnable_tiers()) {
+  for (auto tier : device::runnable_isa_tiers()) {
     const double s =
         best_gemm_seconds(tier, exec::Precision::kFp32, n, a.data(), b.data(), c.data());
     if (tier == exec::IsaTier::kPortable) {

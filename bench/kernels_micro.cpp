@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the execution kernels: complex
 // GEMM across square and narrow shapes (§5.1: narrow GEMM collapses to a
 // bandwidth problem), permutation strategies (§5.3.1 map reduction), the
-// gather/scatter slice primitives, the device backends (host / simd)
-// behind the src/device/ registry, and the raw SIMD dispatch tiers
+// gather/scatter slice primitives, the device backend behind the
+// src/device/ registry, and the raw SIMD dispatch tiers
 // (portable scalar vs every vector tier this CPU supports — the
 // "vectorized cgemm beats scalar" check lives here).
 //
 // `--device-compare=PATH` skips the google-benchmark suite and instead
-// emits a fig12-style JSON comparison of the host and simd backends
-// over gemm/permute shapes, asserting bitwise equality of every
+// emits a fig12-style JSON comparison over gemm/permute shapes of the
+// "host" leg, a backend built at the portable tier (the scalar reference
+// chain), and the registry's "simd" backend at the probed tier,
+// asserting bitwise equality of every
 // fp32 output, plus a "mixed" section measuring the bf16 backend against
 // fp32 in scale-relative ULPs (util::ulp_distance_at_scale — the
 // --compare-mode=ulp:<N> metric; docs/kernels.md). The CI bench-smoke job
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "device/backend.hpp"
@@ -152,22 +155,6 @@ void BM_GemmSimdBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmSimdBackend)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
-// Every SIMD tier THIS machine can run (hardware-clamped; the full
-// compiled set is in exec::compiled_isa_tiers()). Portable is always
-// first, so the later tiers read as speedups over the scalar chain.
-std::vector<exec::IsaTier> runnable_tiers() {
-  using exec::IsaTier;
-  const auto det = device::cpu_probe().detected;
-  std::vector<IsaTier> out{IsaTier::kPortable};
-  if (det == IsaTier::kAvx512) {
-    out.push_back(IsaTier::kAvx2);
-    out.push_back(IsaTier::kAvx512);
-  } else if (det != IsaTier::kPortable) {
-    out.push_back(det);
-  }
-  return out;
-}
-
 // Raw per-tier cgemm_simd (no registry indirection): the scalar-vs-vector
 // comparison. Registered dynamically in main() — the tier list depends on
 // the machine running the suite.
@@ -212,7 +199,7 @@ void BM_ContractTTGT(benchmark::State& state) {
 }
 BENCHMARK(BM_ContractTTGT)->Arg(10)->Arg(14)->Arg(18);
 
-// --- host-vs-simd device comparison (fig12-style JSON) ---------------------
+// --- reference-vs-simd device comparison (fig12-style JSON) ----------------
 
 double best_of(int reps, const std::function<void()>& fn) {
   double best = 1e300;
@@ -226,7 +213,10 @@ double best_of(int reps, const std::function<void()>& fn) {
 
 int run_device_compare(const char* path) {
   obs::Tracer::instance().enable(0);  // the compare run's kernel timeline
-  auto host = device::make_backend("host");
+  // The "host" leg is the scalar reference: every registry name runs the
+  // probed tier, so comparing two of them would compare a kernel with itself.
+  auto host = std::make_unique<device::DeviceBackend>("host", exec::Precision::kFp32,
+                                                      exec::IsaTier::kPortable);
   auto simd = device::make_backend("simd");
   auto bf16 = device::make_backend("simd+bf16");
   const std::string isa = exec::isa_name(device::cpu_probe().active);
@@ -243,7 +233,7 @@ int run_device_compare(const char* path) {
   const int64_t kMixedUlpBound = int64_t(1) << 18;
   std::fprintf(f,
                "{\n  \"figure\": \"kernels_micro device comparison (fig12-style)\",\n"
-               "  \"backends\": [\"host\", \"simd\"],\n"
+               "  \"backends\": [\"host\", \"simd\"],\n  \"host_isa\": \"portable\",\n"
                "  \"active_isa\": \"%s\",\n  \"gemm\": [",
                isa.c_str());
   const struct { int m, n, k; } shapes[] = {
@@ -295,7 +285,7 @@ int run_device_compare(const char* path) {
                  first ? "" : ",", rank, th, ts, th / ts, eq ? "true" : "false");
     first = false;
   }
-  // Mixed precision: the bf16 backend against the fp32 host reference, in
+  // Mixed precision: the bf16 backend against the fp32 scalar reference, in
   // scale-relative ULPs. bf16 must DIFFER from fp32 (max_ulp > 0 proves
   // the rounding engaged) while staying under the corpus-scale bound.
   std::fprintf(f, "\n  ],\n  \"mixed\": [");
@@ -364,7 +354,7 @@ int main(int argc, char** argv) {
   // Per-tier GEMM benches are machine-dependent, so they register here
   // rather than statically: BM_GemmSimdTier/portable is the scalar chain,
   // and each vector tier's row should beat it.
-  for (auto tier : runnable_tiers()) {
+  for (auto tier : device::runnable_isa_tiers()) {
     const std::string name = std::string("BM_GemmSimdTier/") + exec::isa_name(tier);
     benchmark::RegisterBenchmark(
         name.c_str(),

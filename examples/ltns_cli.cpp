@@ -30,8 +30,8 @@
 //   --backend=SPEC               device backend (host|simd, each with an
 //                                optional +fp32|+bf16 precision suffix;
 //                                default host; `--backend=help` lists them
-//                                with capabilities; both are bitwise
-//                                identical at fp32 by contract)
+//                                with capabilities; both names run the
+//                                same kernels at the probed ISA tier)
 //   --precision=fp32|bf16        GEMM operand precision (default fp32); bf16
 //                                keeps fp32 accumulation and is deterministic
 //                                but only ULP-close to fp32 (docs/kernels.md)

@@ -7,7 +7,8 @@ of two modes:
 
   --compare-mode=bitwise   byte equality of the amplitude lines. This is
                            the fp32 contract: every backend and every SIMD
-                           tier must reproduce the host kernels' bits, so
+                           tier must reproduce the scalar reference bits
+                           (LTNS_FORCE_ISA=portable), so
                            even the %.10e text must match exactly.
   --compare-mode=ulp:N     scale-relative ULP bound. This is the bf16
                            mixed-precision contract: deterministic bits,

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end check of the kernel verification contract (docs/kernels.md):
 #
-#   1. the fp32 simd backend must print amplitude lines
-#      BYTE-identical to the host backend — solo, across every forced
-#      SIMD tier (LTNS_FORCE_ISA clamps to hardware, so the avx512 leg
-#      degrades safely on machines without it), under multi-process
-#      lease sharding, and through the job server;
+#   1. every backend name at fp32 must print amplitude lines
+#      BYTE-identical to the scalar reference chain (the run under
+#      LTNS_FORCE_ISA=portable) — solo, across every forced SIMD tier
+#      (LTNS_FORCE_ISA clamps to hardware, so the avx512 leg degrades
+#      safely on machines without it), under multi-process lease
+#      sharding, and through the job server. The references are pinned to
+#      portable even when the caller exports LTNS_FORCE_ISA for the whole
+#      script, so a forced-tier run never becomes its own reference;
 #   2. bf16 mixed precision must be DETERMINISTIC — byte-identical
 #      across backends, ISA tiers, process counts, and transports —
 #      while differing from fp32 (proof the mode engaged) and staying
@@ -43,18 +46,22 @@ echo "== registry lists the simd tier =="
   || { echo "simd backend missing from --backend=help"; exit 1; }
 grep -q 'isa=' "$DIR/help.txt" || { echo "no isa= in backend help"; exit 1; }
 
-echo "== fp32 reference (host) =="
-amp "$DIR/host.txt" --backend=host
+echo "== fp32 reference (scalar chain, LTNS_FORCE_ISA=portable) =="
+LTNS_FORCE_ISA=portable amp "$DIR/host.txt" --backend=host
 cat "$DIR/host.txt"
 
-echo "== fp32 simd bitwise vs host (solo) =="
-amp "$DIR/fp32_simd.txt" --backend=simd
-python3 "$CMP" --compare-mode=bitwise "$DIR/host.txt" "$DIR/fp32_simd.txt"
+echo "== fp32 host and simd bitwise vs the reference (solo) =="
+for b in host simd; do
+  amp "$DIR/fp32_$b.txt" --backend=$b
+  python3 "$CMP" --compare-mode=bitwise "$DIR/host.txt" "$DIR/fp32_$b.txt"
+done
 
-echo "== fp32 simd bitwise under every forced ISA tier =="
+echo "== fp32 bitwise under every forced ISA tier =="
 for isa in portable avx2 avx512 neon; do
-  LTNS_FORCE_ISA=$isa amp "$DIR/fp32_simd_$isa.txt" --backend=simd
-  python3 "$CMP" --compare-mode=bitwise "$DIR/host.txt" "$DIR/fp32_simd_$isa.txt"
+  for b in host simd; do
+    LTNS_FORCE_ISA=$isa amp "$DIR/fp32_${b}_$isa.txt" --backend=$b
+    python3 "$CMP" --compare-mode=bitwise "$DIR/host.txt" "$DIR/fp32_${b}_$isa.txt"
+  done
 done
 
 echo "== fp32 simd bitwise under multi-process lease sharding =="
@@ -62,12 +69,11 @@ amp "$DIR/fp32_p2.txt" --backend=simd --processes=2
 python3 "$CMP" --compare-mode=bitwise "$DIR/host.txt" "$DIR/fp32_p2.txt"
 
 echo "== bf16: deterministic across backends and tiers (solo) =="
+LTNS_FORCE_ISA=portable amp "$DIR/bf16_host.txt" --backend=host --precision=bf16
 for b in host simd; do
   amp "$DIR/bf16_$b.txt" --backend=$b --precision=bf16
+  python3 "$CMP" --compare-mode=bitwise "$DIR/bf16_host.txt" "$DIR/bf16_$b.txt"
 done
-python3 "$CMP" --compare-mode=bitwise "$DIR/bf16_host.txt" "$DIR/bf16_simd.txt"
-LTNS_FORCE_ISA=portable amp "$DIR/bf16_portable.txt" --backend=simd+bf16
-python3 "$CMP" --compare-mode=bitwise "$DIR/bf16_host.txt" "$DIR/bf16_portable.txt"
 
 echo "== bf16: deterministic under multi-process lease sharding =="
 amp "$DIR/bf16_p2.txt" --precision=bf16 --processes=2

@@ -79,9 +79,9 @@ struct SimulatorOptions {
   ThreadPool* pool = nullptr;     // kInnerPool/kStaticPool; defaults to global
   runtime::SliceScheduler* scheduler = nullptr;  // kWorkStealing; defaults to global
   uint64_t grain = 1;             // scheduler chunk size (tasks per pop)
-  // Device backend the kernels run on: "host" (reference) or "simd"
-  // (runtime-dispatched vector tiers), optionally with a "+fp32"/"+bf16"
-  // precision suffix. Both backends are bitwise identical at a given
+  // Device backend the kernels run on: "host" or "simd" (two names for the
+  // same runtime-dispatched vector tiers), optionally with a "+fp32"/"+bf16"
+  // precision suffix. Every tier is bitwise identical at a given
   // precision, so results never depend on this choice;
   // device::make_backend throws std::invalid_argument for unknown names.
   // In sharded runs each worker process constructs its own instance of

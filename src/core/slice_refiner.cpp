@@ -48,8 +48,7 @@ class SlicingState {
     const size_t count = size_t(tree.num_nodes());
     size_.assign(count, kLog2Zero);  // counts as within bound until evaluated
     term_.assign(count, kLog2Zero);  // a leaf adds log2(0): log2_add returns acc as is
-    running_.resize(count);
-    pending_.resize(count);
+    rank_.assign(count, -1);
     dirty_.assign(count, 0);
     S_.edges().for_each([&](int e) { insert_sliced(e); });
     for (int i = 0; i < tree.num_nodes(); ++i) {
@@ -57,8 +56,14 @@ class SlicingState {
       (n.is_leaf() ? n.ixs : n.union_ixs).for_each([&](int e) {
         incident_[size_t(e)].push_back(i);
       });
+      if (!n.is_leaf()) {
+        rank_[size_t(i)] = int(internal_.size());
+        internal_.push_back(i);
+      }
       evaluate(i);
     }
+    running_.assign(internal_.size() + 1, kLog2Zero);
+    pending_.assign(internal_.size() + 1, kLog2Zero);
     log2_total_cost();  // first_ == 0: the whole sum
     commit();
   }
@@ -92,25 +97,27 @@ class SlicingState {
   double estimate() const {
     const double c = running_.back();
     double sum = 0;
-    for (const Saved& u : undo_)
-      sum += std::exp2(term_[size_t(u.node)] - c) - std::exp2(u.term - c);
+    for (const Saved& u : undo_)  // a leaf's terms are log2(0): it would add +0
+      if (rank_[size_t(u.node)] >= 0)
+        sum += std::exp2(term_[size_t(u.node)] - c) - std::exp2(u.term - c);
     const double scale = 1.0 + sum;
     if (!(scale > kMinScale)) return std::numeric_limits<double>::quiet_NaN();
     return c + std::log2(scale) + S_.log2_num_subtasks();
   }
 
   // evaluate_slicing(tree, S).log2_total_cost, resumed at the first touched
-  // node in tree order.
+  // internal node in tree order. Leaves add log2(0), which log2_add returns
+  // unchanged, so the sum runs over internal nodes only.
   double log2_total_cost() {
-    double acc = first_ == 0 ? kLog2Zero : running_[size_t(first_) - 1];
-    for (size_t i = size_t(first_); i < term_.size(); ++i)
-      pending_[i] = acc = log2_add(acc, term_[i]);
+    double acc = running_[size_t(first_)];
+    for (size_t r = size_t(first_); r < internal_.size(); ++r)
+      pending_[r + 1] = acc = log2_add(acc, term_[size_t(internal_[r])]);
     return acc + S_.log2_num_subtasks();
   }
 
   // Keeps the pending edit; log2_total_cost must have run since it.
   void commit() {
-    std::copy(pending_.begin() + first_, pending_.end(), running_.begin() + first_);
+    std::copy(pending_.begin() + first_ + 1, pending_.end(), running_.begin() + first_ + 1);
     clear();
   }
 
@@ -156,7 +163,7 @@ class SlicingState {
       if (dirty_[size_t(i)]) continue;
       dirty_[size_t(i)] = 1;
       undo_.push_back({i, size_[size_t(i)], term_[size_t(i)]});
-      first_ = std::min(first_, i);
+      if (rank_[size_t(i)] >= 0) first_ = std::min(first_, rank_[size_t(i)]);
       evaluate(i);
     }
   }
@@ -188,7 +195,7 @@ class SlicingState {
   void clear() {
     for (const Saved& u : undo_) dirty_[size_t(u.node)] = 0;
     undo_.clear();
-    first_ = int(size_.size());
+    first_ = int(internal_.size());
   }
 
   const tn::ContractionTree& tree_;
@@ -196,12 +203,18 @@ class SlicingState {
   std::vector<Sliced> sliced_;  // S_ in ascending edge id, with weights
   double bound_;                // a node is over the memory bound above this
   int over_ = 0;                // nodes whose stored size is over bound_
-  // Per node in tree order: sliced log2 size, Eq. 4 term, log2-sum so far.
-  std::vector<double> size_, term_, running_, pending_;
+  // Per node in tree order: sliced log2 size, Eq. 4 term (log2(0) for leaves).
+  std::vector<double> size_, term_;
+  std::vector<int> internal_;  // internal nodes in tree order
+  std::vector<int> rank_;      // per node: its position in internal_, -1 for a leaf
+  // running_[r]: log2-sum of the first r internal terms (running_[0] is
+  // log2(0)); pending_ holds the same under the pending edit.
+  std::vector<double> running_, pending_;
   std::vector<char> dirty_;
   std::vector<std::vector<int>> incident_;  // per edge: nodes holding it, in order
   std::vector<Saved> undo_;
-  int first_ = 0;  // first node the pending edit touched; num_nodes if none
+  // Rank of the first internal node the pending edit touched; |internal_| if none.
+  int first_ = 0;
   EdgeId out_ = tn::kNone, in_ = tn::kNone;  // the pending edit
 };
 

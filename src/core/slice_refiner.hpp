@@ -13,13 +13,14 @@
 // Evaluation is incremental. The refiner keeps, across proposals, each
 // node's sliced size and Eq. 4 cost term, an edge → node incidence list
 // (nodes whose `ixs` or `union_ixs` hold the edge) and the running log2-sum
-// after each node in tree order (a leaf adds log2(0), which log2_add returns
-// unchanged). A swap or drop re-evaluates only the nodes incident to the
-// edited edges. Each such node sums log2w over the ≤ |S| sliced edges it
-// holds, kept as a sorted vector, instead of intersecting full bitsets; the
-// edges are visited in ascending id, as for_each_intersection visits them,
-// so each sum is the same double. A count of nodes over the memory bound,
-// kept as sizes change, makes the bound check O(1).
+// after each internal node in tree order (a leaf adds log2(0), which
+// log2_add returns unchanged, so leaves are left out of the sum). A swap or
+// drop re-evaluates only the nodes incident to the edited edges. Each such
+// node sums log2w over the ≤ |S| sliced edges it holds, kept as a sorted
+// vector, instead of intersecting full bitsets; the edges are visited in
+// ascending id, as for_each_intersection visits them, so each sum is the
+// same double. A count of nodes over the memory bound, kept as sizes
+// change, makes the bound check O(1).
 //
 // Most proposals are rejected, so they are screened before the exact sum.
 // From the committed sum C and the touched nodes' old and new terms alone,

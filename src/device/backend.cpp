@@ -1,17 +1,43 @@
 #include "device/backend.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
+#include "device/cpu_probe.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace ltns::device {
 
+DeviceCaps DeviceBackend::capabilities() const {
+  DeviceCaps c;
+  c.alignment = exec::kTensorAlignment;
+  c.simd_lanes = exec::isa_lanes(tier_);
+  c.isa = exec::isa_name(tier_);
+  const std::string tier = tier_ == cpu_probe().active ? probe_isa_label() : c.isa;
+  c.description = "runtime-dispatched kernels at ISA tier " + tier +
+                  "; fp32 bitwise equal to the portable scalar reference";
+  return c;
+}
+
+void DeviceBackend::gemm(int m, int n, int k, const exec::cfloat* a, const exec::cfloat* b,
+                         exec::cfloat* c, ThreadPool* pool, DeviceStats* stats) {
+  exec::SimdPackStats pack;
+  exec::cgemm_simd(tier_, precision_, m, n, k, a, b, c, pool, &pack);
+  if (pack.bytes > 0) obs::trace_instant(obs::EventKind::kDeviceUpload, uint64_t(pack.bytes));
+  if (stats) {
+    stats->gemm_calls += 1;
+    stats->bytes_to_device += pack.bytes;  // plane packing IS the staging copy
+    stats->ns_to_device += pack.ns;
+    stats->uploads += pack.packs;
+  }
+}
+
 void DeviceBackend::permute_apply(const exec::PermuteMap& map, const exec::cfloat* in,
                                   exec::cfloat* out, DeviceStats* stats) {
-  map.apply(in, out);
+  exec::permute_apply_simd(tier_, map, in, out);
   if (stats) stats->permute_calls += 1;
 }
 
@@ -62,10 +88,12 @@ void DeviceBackend::run_stem_window(const exec::StemProgram& prog,
 
 // --- registry --------------------------------------------------------------
 
-// Factories live in their backend's translation unit; the explicit list
-// (rather than static self-registration) keeps construction order trivial.
-std::unique_ptr<DeviceBackend> make_host_backend(exec::Precision prec);
-std::unique_ptr<DeviceBackend> make_simd_backend(exec::Precision prec);
+namespace {
+
+// Registered names, in listing order. Each builds the same class.
+const char* const kBackendNames[] = {"host", "simd"};
+
+}  // namespace
 
 std::string BackendSpec::spec() const {
   if (precision == exec::Precision::kFp32) return name;
@@ -102,28 +130,37 @@ std::string merge_backend_override(const std::string& job_spec,
   return merged.spec();
 }
 
+DeviceBackend& host_backend() {
+  static DeviceBackend host("host", exec::Precision::kFp32, cpu_probe().active);
+  return host;
+}
+
 std::vector<BackendInfo> available_backends() {
-  const exec::Precision fp32 = exec::Precision::kFp32;
   std::vector<BackendInfo> out;
-  out.push_back({"host", make_host_backend(fp32)->capabilities()});
-  out.push_back({"simd", make_simd_backend(fp32)->capabilities()});
+  for (const char* n : kBackendNames) {
+    const DeviceBackend b(n, exec::Precision::kFp32, cpu_probe().active);
+    out.push_back({n, b.capabilities()});
+  }
   return out;
 }
 
 std::unique_ptr<DeviceBackend> make_backend(const std::string& spec) {
   const BackendSpec s = parse_backend_spec(spec);
-  if (s.name == "host") return make_host_backend(s.precision);
-  if (s.name == "simd") return make_simd_backend(s.precision);
+  if (std::find(std::begin(kBackendNames), std::end(kBackendNames), s.name) !=
+      std::end(kBackendNames))
+    return std::make_unique<DeviceBackend>(s.name, s.precision, cpu_probe().active);
   std::ostringstream msg;
   msg << "unknown device backend '" << s.name << "'; known backends:";
-  for (const auto& b : available_backends()) msg << " " << b.name;
+  for (const char* n : kBackendNames) msg << " " << n;
   msg << " (each accepts a +fp32 or +bf16 precision suffix)";
   throw std::invalid_argument(msg.str());
 }
 
 std::string backend_help() {
   std::ostringstream o;
-  o << "device backends (spec: name[+fp32|+bf16], default fp32):\n";
+  o << "device backends (spec: name[+fp32|+bf16], default fp32). Every name runs the\n"
+       "same kernels at the probed ISA tier; LTNS_FORCE_ISA=portable runs the scalar\n"
+       "reference.\n";
   for (const auto& b : available_backends()) {
     o << "  " << b.name << "\n"
       << "      " << b.caps.description << "\n"

@@ -1,31 +1,37 @@
-// Pluggable device backends: the accelerator seam of the contraction engine.
+// The device backend: the accelerator seam of the contraction engine.
 //
-// A DeviceBackend owns the two kernels every executor needs — GEMM and a
-// permutation-map apply — plus the compiled fused stem window built on
-// them, with DeviceStats accounting. The executors (execute_tree /
-// execute_fused / run_sliced) take a backend pointer and route every
-// kernel through it; a null backend means host_backend().
+// A DeviceBackend owns the two kernels every executor needs, GEMM and a
+// permutation-map apply, plus the compiled fused stem window built on them,
+// with DeviceStats accounting. The executors (execute_tree / execute_fused /
+// run_sliced) take a backend pointer and route every kernel through it; a
+// null backend means host_backend().
 //
-// The contract every implementation must honor: for the same inputs the
-// output is BITWISE identical to the host kernels. Backends are free to
-// block, pack and vectorize however they like, but the per-element
-// floating-point reduction order is part of the interface — the
-// distributed drivers merge partials from heterogeneous fleets, and the
-// bitwise-stability guarantee of the whole system (tests/test_device,
-// tests/test_dist, the CI byte-diff jobs) rests on this.
+// One class, one kernel path: an instance holds a spec name, a precision
+// and an exec::IsaTier, and runs exec::cgemm_simd / exec::permute_apply_simd
+// at that tier. The registry builds every instance at cpu_probe().active,
+// the widest tier this machine runs (runtime avx2/avx512/neon dispatch,
+// src/device/cpu_probe.*). Kernels read host tensors in place, so a stem
+// window is one path with no staging.
 //
-// Registry: make_backend("host" | "simd"). "host" delegates to
-// exec::cgemm / PermuteMap::apply unchanged and is the reference; "simd"
-// runs the explicit-intrinsic vector tiers (runtime avx2/avx512/neon
-// dispatch, src/device/cpu_probe.*) with the same bits. Both read host
-// tensors in place, so a stem window is one path with no staging.
+// The contract: at fp32 every tier is BITWISE identical to the scalar
+// reference chain (exec::cgemm / PermuteMap::apply, which the portable tier
+// runs). The per-element floating-point reduction order is part of the
+// interface: the distributed drivers merge partials from heterogeneous
+// fleets, and the bitwise-stability guarantee of the whole system
+// (tests/test_device, tests/test_dist, the CI byte-diff jobs) rests on it.
+// LTNS_FORCE_ISA=portable clamps every backend to that scalar reference, and
+// tests build reference instances at exec::IsaTier::kPortable directly.
+//
+// Registry: make_backend("host" | "simd"). Both names build the same class
+// at the same tier; both stay because job specs, wire records, the CLI and
+// worker overrides carry them.
 //
 // Backend SPECS: every name accepts an optional precision suffix,
 // "name+fp32" (the default) or "name+bf16" (the mixed-precision mode:
 // bf16 operands, fp32 accumulation). A bf16 backend is still deterministic
-// — all conforming backends produce identical bf16 bits — but it is only
-// ULP-close to the fp32 reference, so the byte-diff jobs compare bf16 runs
-// against each other bitwise and against fp32 under --compare-mode=ulp:<N>
+// (every tier produces identical bf16 bits) but it is only ULP-close to the
+// fp32 reference, so the byte-diff jobs compare bf16 runs against each
+// other bitwise and against fp32 under --compare-mode=ulp:<N>
 // (docs/kernels.md). The spec string is what travels through every
 // existing backend-name channel (SimulatorOptions, shard options, job
 // records, worker overrides), so precision needs no parallel plumbing.
@@ -33,6 +39,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "device/stats.hpp"
@@ -45,33 +52,34 @@ namespace ltns::device {
 
 struct DeviceCaps {
   size_t alignment = exec::kTensorAlignment;  // required/guaranteed buffer alignment
-  size_t simd_lanes = 8;  // float lanes the kernels target (cpu_probe's active tier)
-  std::string isa;        // active ISA tier label ("avx2", "portable", ...)
+  size_t simd_lanes = 8;  // float lanes of the instance's tier
+  std::string isa;        // the instance's ISA tier ("avx2", "portable", ...)
   std::string description;
 };
 
 class DeviceBackend {
  public:
-  explicit DeviceBackend(exec::Precision precision = exec::Precision::kFp32)
-      : precision_(precision) {}
-  virtual ~DeviceBackend() = default;
+  // `name` is the registry name the spec carried; it labels the instance
+  // and does not change its kernels.
+  DeviceBackend(std::string name, exec::Precision precision, exec::IsaTier tier)
+      : name_(std::move(name)), precision_(precision), tier_(tier) {}
 
+  const char* name() const { return name_.c_str(); }
   // Operand precision of this instance's GEMM kernels (from the backend
   // spec). Permute is precision-blind data movement.
   exec::Precision precision() const { return precision_; }
-
-  virtual const char* name() const = 0;
-  virtual DeviceCaps capabilities() const = 0;
+  exec::IsaTier tier() const { return tier_; }
+  DeviceCaps capabilities() const;
 
   // --- kernels ------------------------------------------------------------
   // C = A · B, row-major complex float, C overwritten (exec::cgemm shape).
-  virtual void gemm(int m, int n, int k, const exec::cfloat* a, const exec::cfloat* b,
-                    exec::cfloat* c, ThreadPool* pool, DeviceStats* stats) = 0;
+  // Panel packing into split-complex planes counts as to-device traffic.
+  void gemm(int m, int n, int k, const exec::cfloat* a, const exec::cfloat* b, exec::cfloat* c,
+            ThreadPool* pool, DeviceStats* stats);
   // Applies a pre-built permutation map (in -> out; out holds
-  // map.map_entries() * map.block_elems() elements). The default is the
-  // host apply; pure data movement, so any override is bitwise-neutral.
-  virtual void permute_apply(const exec::PermuteMap& map, const exec::cfloat* in,
-                             exec::cfloat* out, DeviceStats* stats);
+  // map.map_entries() * map.block_elems() elements). Pure data movement.
+  void permute_apply(const exec::PermuteMap& map, const exec::cfloat* in, exec::cfloat* out,
+                     DeviceStats* stats);
 
   // Permutes `t` into `new_ixs` through permute_apply (identity is a copy).
   exec::Tensor permute(const exec::Tensor& t, const std::vector<int>& new_ixs,
@@ -95,7 +103,9 @@ class DeviceBackend {
                        exec::ContractStats* cs, DeviceStats* stats);
 
  private:
+  std::string name_;
   exec::Precision precision_;
+  exec::IsaTier tier_;
 };
 
 // --- registry -------------------------------------------------------------
@@ -128,13 +138,14 @@ BackendSpec parse_backend_spec(const std::string& spec);
 std::string merge_backend_override(const std::string& job_spec,
                                    const std::string& override_spec);
 
-// The shared fp32 "host" instance: what a null backend pointer means.
+// The shared fp32 "host" instance at the probed tier: what a null backend
+// pointer means.
 DeviceBackend& host_backend();
 
 // Every registered backend (the CLI's `--backend=help`).
 std::vector<BackendInfo> available_backends();
 
-// Constructs a backend from a "name[+precision]" spec; throws
+// Constructs a backend at cpu_probe().active from a "name[+precision]" spec; throws
 // std::invalid_argument for unknown names/precisions, with a message that
 // lists the known backends.
 std::unique_ptr<DeviceBackend> make_backend(const std::string& spec);

@@ -69,6 +69,13 @@ const CpuProbe& cpu_probe() {
 
 size_t probe_simd_lanes() { return exec::isa_lanes(cpu_probe().active); }
 
+std::vector<IsaTier> runnable_isa_tiers() {
+  std::vector<IsaTier> out;
+  for (IsaTier t : exec::compiled_isa_tiers())
+    if (clamp_to_hardware(t, cpu_probe().detected) == t) out.push_back(t);
+  return out;
+}
+
 std::string probe_isa_label() {
   const CpuProbe& p = cpu_probe();
   std::string label = exec::isa_name(p.active);

@@ -1,6 +1,5 @@
-// Runtime CPU capability probe: which vector ISA tier the simd backend's
-// dispatch selects, and the lanes/isa both backends report in their
-// DeviceCaps.
+// Runtime CPU capability probe: which vector ISA tier the device backend's
+// dispatch selects, and the lanes/isa it reports in its DeviceCaps.
 //
 // Detection is cached on first use. The LTNS_FORCE_ISA environment variable
 // (portable | avx2 | avx512 | neon) clamps the active tier DOWN for the CI
@@ -12,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "exec/simd_kernels.hpp"
 
@@ -27,8 +27,12 @@ struct CpuProbe {
 const CpuProbe& cpu_probe();
 
 // Float lanes of the active tier — the DeviceCaps::simd_lanes source of
-// truth for host and simd.
+// truth for every registered backend.
 size_t probe_simd_lanes();
+
+// Compiled tiers this hardware runs (LTNS_FORCE_ISA aside), portable first:
+// what a test may call directly without faulting.
+std::vector<exec::IsaTier> runnable_isa_tiers();
 
 // "avx2", "avx512 (forced: portable)", ... for capability descriptions.
 std::string probe_isa_label();

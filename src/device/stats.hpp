@@ -3,9 +3,9 @@
 // One DeviceStats is kept per worker next to its ExecStats and merged once
 // at the end of a run, so recording needs no synchronization. The transfer
 // fields follow the bytes/ns-to-device accounting convention of real
-// offload runtimes. Both backends read tensors in place: "host" reports
-// zero transfer bytes and "simd" reports its panel packing as to-device
-// traffic. No backend copies results back, so the to-host fields stay 0;
+// offload runtimes. The backend reads tensors in place and reports its
+// panel packing as to-device traffic (zero on the portable tier, which
+// packs nothing). No backend copies results back, so the to-host fields stay 0;
 // they remain because the wire and metrics encodings carry them.
 // This header is dependency-free on purpose: both the exec layer and the
 // runtime telemetry embed it.

@@ -1,4 +1,4 @@
-// Vectorized kernel tiers (the "simd" device backend's engine).
+// Vectorized kernel tiers (the device backend's engine).
 //
 // Runtime CPU dispatch over explicit-intrinsic complex-GEMM microkernels
 // (AVX2 / AVX-512 on x86, NEON on aarch64) and a gather/blocked-copy
@@ -77,7 +77,7 @@ inline float bf16_round(float v) {
 // Panel packing accounting: the B and A planes of the lane-wide kernels
 // and the ragged-B and transposed-A planes of the row-lane kernel, timed
 // once per K panel (the staging copy a discrete device would make
-// explicit; the "simd" backend reports it as to-device traffic).
+// explicit; the device backend reports it as to-device traffic).
 struct SimdPackStats {
   double bytes = 0;
   double ns = 0;

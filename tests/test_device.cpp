@@ -1,14 +1,16 @@
 // Device-backend subsystem tests (src/device/). The load-bearing
 // invariants:
-//   1. the registry lists host and simd, constructs both (with or without
-//      a +fp32/+bf16 precision suffix), and fails unknown names — removed
-//      ones included — with a message naming the known backends;
-//   2. SimdBackend output is BITWISE identical to HostBackend (and to the
-//      raw host path) for gemm, contract, stem windows and whole sliced
-//      runs — across degenerate shapes, pool widths, executors and worker
-//      counts (kernel-level fuzzing lives in test_kernels_parity);
-//   3. transfer accounting: the simd backend reports its panel packing as
-//      to-device traffic, the host backend reports zero, and a stem window
+//   1. the registry lists host and simd, builds both at the probed tier
+//      (with or without a +fp32/+bf16 precision suffix), and fails unknown
+//      names — removed ones included — with a message naming the known
+//      backends;
+//   2. every registry backend is BITWISE identical to the portable scalar
+//      reference (test::reference_backend) for gemm, contract, stem windows
+//      and whole sliced runs — across degenerate shapes, pool widths,
+//      executors and worker counts — and every tier this CPU runs matches
+//      it in one process (kernel-level fuzzing lives in test_kernels_parity);
+//   3. transfer accounting: a vector tier reports its panel packing as
+//      to-device traffic, the portable tier reports zero, and a stem window
 //      downloads nothing;
 //   4. DeviceStats rides ExecStats/ExecutorSnapshot through run_sliced.
 #include <gtest/gtest.h>
@@ -62,6 +64,11 @@ TEST(DeviceRegistry, ConstructsByNameAndEmptyMeansHost) {
   EXPECT_STREQ(make_backend("host")->name(), "host");
   EXPECT_STREQ(make_backend("simd")->name(), "simd");
   EXPECT_STREQ(make_backend("")->name(), "host");
+  // One kernel path: every name, and the null-backend instance, runs the
+  // probed tier.
+  for (const char* name : {"host", "simd", "simd+bf16"})
+    EXPECT_EQ(make_backend(name)->tier(), cpu_probe().active) << name;
+  EXPECT_EQ(host_backend().tier(), cpu_probe().active);
 }
 
 TEST(DeviceRegistry, PrecisionSpecsParseAndDefaultToFp32) {
@@ -133,7 +140,7 @@ TEST(DeviceStatsMergeAndSince, FieldwiseArithmetic) {
   EXPECT_EQ(d.stem_steps, a.stem_steps);
 }
 
-// --- kernel parity: bitwise host == simd ----------------------------------
+// --- kernel parity: every registry name == the portable reference --------
 
 // Shapes chosen to hit every path: 4x4 tiles, ragged row/column edges, the
 // narrow bandwidth-bound regime, multiple K panels (k > 256), and tiny
@@ -148,63 +155,74 @@ const GemmShape kShapes[] = {
     {4, 0, 4},     {4, 4, 0},
 };
 
-TEST(SimdBackend, GemmBitwiseIdenticalToHostSerial) {
-  auto host = make_backend("host");
-  auto simd = make_backend("simd");
+TEST(DeviceBackend, GemmBitwiseIdenticalToPortableSerial) {
+  auto ref = test::reference_backend();
   uint64_t seed = 1;
   for (const auto& s : kShapes) {
     auto a = random_buf(size_t(s.m) * size_t(std::max(s.k, 1)), seed++);
     auto b = random_buf(size_t(std::max(s.k, 1)) * size_t(s.n), seed++);
-    std::vector<cfloat> c1(size_t(s.m) * s.n, cfloat{7, 7});
-    std::vector<cfloat> c2(size_t(s.m) * s.n, cfloat{9, 9});
-    DeviceStats st1, st2;
-    host->gemm(s.m, s.n, s.k, a.data(), b.data(), c1.data(), nullptr, &st1);
-    simd->gemm(s.m, s.n, s.k, a.data(), b.data(), c2.data(), nullptr, &st2);
-    // An m=0 or n=0 output is empty, and memcmp must not see its null data().
-    EXPECT_TRUE(c1.empty() || std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)) == 0)
-        << "m=" << s.m << " n=" << s.n << " k=" << s.k;
-    EXPECT_EQ(st1.gemm_calls, 1u);
-    EXPECT_EQ(st2.gemm_calls, 1u);
+    std::vector<cfloat> want(size_t(s.m) * s.n, cfloat{7, 7});
+    DeviceStats st0;
+    ref.gemm(s.m, s.n, s.k, a.data(), b.data(), want.data(), nullptr, &st0);
+    EXPECT_EQ(st0.gemm_calls, 1u);
+    for (const char* name : {"host", "simd"}) {
+      std::vector<cfloat> got(size_t(s.m) * s.n, cfloat{9, 9});
+      DeviceStats st;
+      make_backend(name)->gemm(s.m, s.n, s.k, a.data(), b.data(), got.data(), nullptr, &st);
+      // An m=0 or n=0 output is empty, and memcmp must not see its null data().
+      EXPECT_TRUE(want.empty() ||
+                  std::memcmp(want.data(), got.data(), want.size() * sizeof(cfloat)) == 0)
+          << name << " m=" << s.m << " n=" << s.n << " k=" << s.k;
+      EXPECT_EQ(st.gemm_calls, 1u);
+    }
   }
 }
 
-TEST(SimdBackend, GemmBitwiseIdenticalToHostAcrossPoolWidths) {
-  auto host = make_backend("host");
-  auto simd = make_backend("simd");
+TEST(DeviceBackend, GemmBitwiseIdenticalToPortableAcrossPoolWidths) {
+  auto ref = test::reference_backend();
   const int m = 120, n = 70, k = 300;  // big enough to cross the parallel threshold
   auto a = random_buf(size_t(m) * k, 100);
   auto b = random_buf(size_t(k) * n, 101);
+  std::vector<cfloat> want(size_t(m) * n);
+  ref.gemm(m, n, k, a.data(), b.data(), want.data(), nullptr, nullptr);
   for (int workers : {1, 2, 3, 5}) {
     ThreadPool pool(workers);
-    std::vector<cfloat> c1(size_t(m) * n), c2(size_t(m) * n);
-    host->gemm(m, n, k, a.data(), b.data(), c1.data(), &pool, nullptr);
-    simd->gemm(m, n, k, a.data(), b.data(), c2.data(), &pool, nullptr);
-    EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)), 0)
-        << "workers=" << workers;
+    for (const char* name : {"host", "simd"}) {
+      std::vector<cfloat> got(size_t(m) * n);
+      make_backend(name)->gemm(m, n, k, a.data(), b.data(), got.data(), &pool, nullptr);
+      EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(cfloat)), 0)
+          << name << " workers=" << workers;
+    }
   }
 }
 
-TEST(SimdBackend, NarrowGemmPackingCountsToDeviceTraffic) {
+TEST(DeviceBackend, NarrowGemmPackingCountsToDeviceTraffic) {
   // 64x4x32: n = 4 fills no avx2/avx512 lane, so the row-lane kernel packs
   // the ragged B columns and A transposed, re and im planes of floats. NEON
   // (4 lanes) packs the same planes for its one full column block; the
-  // portable tier packs nothing.
+  // portable tier packs nothing. Both names run the probed tier.
   const int m = 64, n = 4, k = 32;
   auto a = random_buf(size_t(m) * k, 17);
   auto b = random_buf(size_t(k) * n, 18);
   std::vector<cfloat> c(size_t(m) * n);
-  DeviceStats st;
-  make_backend("simd")->gemm(m, n, k, a.data(), b.data(), c.data(), nullptr, &st);
   const bool vector_tier = cpu_probe().active != exec::IsaTier::kPortable;
   const double planes = 2.0 * (double(k) * n + double(m) * k) * sizeof(float);
-  EXPECT_EQ(st.bytes_to_device, vector_tier ? planes : 0.0);
-  EXPECT_EQ(st.uploads, vector_tier ? 1u : 0u);
+  for (const char* name : {"host", "simd"}) {
+    DeviceStats st;
+    make_backend(name)->gemm(m, n, k, a.data(), b.data(), c.data(), nullptr, &st);
+    EXPECT_EQ(st.bytes_to_device, vector_tier ? planes : 0.0) << name;
+    EXPECT_EQ(st.uploads, vector_tier ? 1u : 0u) << name;
+  }
+  DeviceStats st0;
+  test::reference_backend().gemm(m, n, k, a.data(), b.data(), c.data(), nullptr, &st0);
+  EXPECT_EQ(st0.bytes_to_device, 0.0);
+  EXPECT_EQ(st0.uploads, 0u);
   // Kernel level, every compiled vector tier: two K panels (256 + 44) are
   // two timed packs, not one per 16- or 8-row block.
   const int k2 = 300;
   auto a2 = random_buf(size_t(m) * k2, 19);
   auto b2 = random_buf(size_t(k2) * n, 20);
-  for (exec::IsaTier tier : exec::compiled_isa_tiers()) {
+  for (exec::IsaTier tier : runnable_isa_tiers()) {
     if (tier == exec::IsaTier::kPortable) continue;
     exec::SimdPackStats ps;
     exec::cgemm_simd(tier, exec::Precision::kFp32, m, n, k2, a2.data(), b2.data(), c.data(),
@@ -215,10 +233,10 @@ TEST(SimdBackend, NarrowGemmPackingCountsToDeviceTraffic) {
   }
 }
 
-TEST(DeviceBackend, ContractMatchesRawHostPathBitwise) {
+TEST(DeviceBackend, ContractMatchesPortablePathBitwise) {
   auto t1 = exec::random_tensor({0, 1, 2, 3, 4, 5, 6, 7}, 11);
   auto t2 = exec::random_tensor({4, 5, 6, 7, 8, 9}, 12);
-  auto raw = exec::contract(t1, t2);
+  auto raw = test::reference_backend().contract(t1, t2, nullptr, nullptr, nullptr);
   for (const char* name : {"host", "simd"}) {
     auto b = make_backend(name);
     exec::ContractStats cs;
@@ -238,12 +256,13 @@ TEST(DeviceBackend, StemWindowBatchedMatchesStepLoopBitwise) {
   branches.push_back(exec::random_tensor({100, 2, 102, 103}, 23));
   branches.push_back(exec::random_tensor({101, 103, 104, 105}, 24));
 
+  auto ref = test::reference_backend();
   exec::Tensor expect = w0;
   exec::ContractStats want;
   size_t live_peak = 0;  // largest live w + branch + result of the step loop
   std::vector<std::vector<int>> branch_ixs;
   for (const auto& b : branches) {
-    exec::Tensor next = exec::contract(expect, b, nullptr, &want);
+    exec::Tensor next = ref.contract(expect, b, nullptr, &want, nullptr);
     live_peak = std::max(live_peak, expect.size() + b.size() + next.size());
     expect = std::move(next);
     branch_ixs.push_back(b.ixs());
@@ -262,7 +281,7 @@ TEST(DeviceBackend, StemWindowBatchedMatchesStepLoopBitwise) {
   }
 }
 
-// --- whole sliced runs: every executor, every backend, bitwise ------------
+// --- whole sliced runs: every executor, backend and tier, bitwise ---------
 
 struct Fixture {
   circuit::LoweredNetwork ln;
@@ -274,8 +293,8 @@ struct Fixture {
   }
 };
 
-Fixture make_fixture() {
-  Fixture f{test::small_network(3, 4, 6), nullptr, core::SliceSet{}};
+Fixture make_fixture(int rows = 3, int cols = 4, int cycles = 6) {
+  Fixture f{test::small_network(rows, cols, cycles), nullptr, core::SliceSet{}};
   f.tree = std::make_shared<tn::ContractionTree>(test::greedy_tree(f.ln.net));
   core::GreedySlicerOptions go;
   go.target_log2size = std::max(2.0, f.tree->max_log2size() - 3.0);
@@ -287,11 +306,13 @@ TEST(RunSlicedBackends, BitwiseIdenticalAcrossBackendsExecutorsAndWorkers) {
   auto f = make_fixture();
   ASSERT_GE(f.slices.size(), 2);
 
+  auto portable = test::reference_backend();
   exec::SliceRunOptions base;
   base.executor = exec::SliceExecutor::kInnerPool;
   ThreadPool pool1(1);
   base.pool = &pool1;
-  auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);  // raw host path
+  base.backend = &portable;
+  auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);
   ASSERT_TRUE(ref.completed);
 
   for (const char* name : {"host", "simd"}) {
@@ -323,11 +344,13 @@ TEST(RunSlicedBackends, FusedPathBitwiseIdenticalAcrossBackends) {
   auto stem = tn::extract_stem(*f.tree);
   auto plan = exec::plan_fused(stem, f.slices.to_vector(), 1 << 12);
 
+  auto portable = test::reference_backend();
   ThreadPool pool1(1);
   exec::SliceRunOptions base;
   base.executor = exec::SliceExecutor::kInnerPool;
   base.pool = &pool1;
   base.fused = &plan;
+  base.backend = &portable;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);
   ASSERT_TRUE(ref.completed);
 
@@ -345,6 +368,47 @@ TEST(RunSlicedBackends, FusedPathBitwiseIdenticalAcrossBackends) {
       EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated))
           << name << " workers=" << workers;
       EXPECT_GT(r.stats.device.stem_steps, 0u) << name;
+    }
+  }
+}
+
+TEST(RunSlicedTiers, EveryRunnableTierMatchesPortableInOneProcess) {
+  // LTNS_FORCE_ISA picks one tier per process; this walks every tier the
+  // CPU runs in one process, stepwise and fused: fp32 bitwise equal to the
+  // portable reference, bf16 bitwise equal across tiers. The 4x4 grid's
+  // GEMMs are tall enough (m >= 16) to reach the lane and row-lane kernels.
+  auto f = make_fixture(4, 4, 8);
+  auto stem = tn::extract_stem(*f.tree);
+  auto plan = exec::plan_fused(stem, f.slices.to_vector(), 1 << 12);
+  const auto tiers = runnable_isa_tiers();
+  ASSERT_EQ(tiers.front(), exec::IsaTier::kPortable);
+  const exec::FusedPlan* const runs[] = {nullptr, &plan};  // stepwise, fused
+  for (const exec::FusedPlan* fused : runs) {
+    exec::Tensor fp32_ref;
+    for (auto prec : {exec::Precision::kFp32, exec::Precision::kBf16}) {
+      exec::Tensor want;
+      for (exec::IsaTier tier : tiers) {
+        DeviceBackend backend("simd", prec, tier);
+        ThreadPool pool(2);
+        exec::SliceRunOptions ro;
+        ro.executor = exec::SliceExecutor::kInnerPool;
+        ro.pool = &pool;
+        ro.fused = fused;
+        ro.backend = &backend;
+        auto r = exec::run_sliced(*f.tree, f.leaves(), f.slices, ro);
+        ASSERT_TRUE(r.completed);
+        if (tier == exec::IsaTier::kPortable) {
+          want = r.accumulated;
+          continue;
+        }
+        EXPECT_TRUE(bitwise_equal(want, r.accumulated))
+            << exec::isa_name(tier) << " " << exec::precision_name(prec)
+            << (fused ? " fused" : " stepwise");
+      }
+      if (prec == exec::Precision::kFp32)
+        fp32_ref = want;
+      else  // the mixed mode engaged
+        EXPECT_FALSE(bitwise_equal(fp32_ref, want)) << (fused ? "fused" : "stepwise");
     }
   }
 }

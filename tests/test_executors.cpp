@@ -298,8 +298,8 @@ TEST(CompiledWindow, BitwiseMatchesContractChainOnRandomStems) {
         for (uint64_t a : {uint64_t(0), last / 2 + 1, last}) {
           if (a > last) continue;
           for (const char* suffix : {"", "+bf16"}) {
-            auto host = device::make_backend(std::string("host") + suffix);
-            const Tensor want = contract_chain_reference(plan, f.leaves(), a, host.get());
+            auto ref = test::reference_backend(device::parse_backend_spec(suffix).precision);
+            const Tensor want = contract_chain_reference(plan, f.leaves(), a, &ref);
             for (const auto& info : device::available_backends()) {
               auto backend = device::make_backend(info.name + suffix);
               for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {

@@ -68,6 +68,13 @@ inline exec::Tensor run_compiled_chain(device::DeviceBackend& backend, const exe
   return out;
 }
 
+// The scalar reference chain as a backend (exec::cgemm / PermuteMap::apply
+// bits at fp32, the portable bf16 chain at bf16). Registry backends run the
+// probed tier, so kernel checks compare against this instead.
+inline device::DeviceBackend reference_backend(exec::Precision p = exec::Precision::kFp32) {
+  return device::DeviceBackend("host", p, exec::IsaTier::kPortable);
+}
+
 inline std::vector<int> zero_bits(int n) { return std::vector<int>(size_t(n), 0); }
 
 }  // namespace ltns::test

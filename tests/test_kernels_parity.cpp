@@ -2,8 +2,9 @@
 // device backend).
 //
 // Two contracts are enforced here:
-//   * fp32: every compiled ISA tier and every registered backend reproduces
-//     the host kernels BITWISE — memcmp, no tolerance — across fuzzed
+//   * fp32: every ISA tier this CPU runs and every registered backend
+//     reproduces the scalar reference kernels (exec::cgemm /
+//     PermuteMap::apply) BITWISE — memcmp, no tolerance — across fuzzed
 //     shapes, lane tails that do not fill a vector register, K extents that
 //     straddle the panel width, and deliberately misaligned operands.
 //   * bf16 mixed precision: deterministic (bitwise identical across tiers,
@@ -58,7 +59,7 @@ bool same_bits(const cfloat* a, const cfloat* b, size_t n) {
 
 std::vector<IsaTier> vector_tiers() {
   std::vector<IsaTier> out;
-  for (IsaTier t : compiled_isa_tiers())
+  for (IsaTier t : device::runnable_isa_tiers())
     if (t != IsaTier::kPortable) out.push_back(t);
   return out;
 }
@@ -211,7 +212,7 @@ TEST(KernelsParityPermute, FuzzBitwiseAcrossTiersAndBlockSizes) {
     auto t = random_tensor(ixs, 4000 + uint64_t(trial));
     auto want = permute(t, new_ixs);
     const PermuteMap map(permutation_between(ixs, new_ixs), rank);
-    for (IsaTier tier : compiled_isa_tiers()) {
+    for (IsaTier tier : device::runnable_isa_tiers()) {
       Tensor got(new_ixs);
       permute_apply_simd(tier, map, t.raw(), got.raw());
       ASSERT_TRUE(bitwise_equal(want, got)) << isa_name(tier) << " trial=" << trial;
@@ -230,7 +231,7 @@ TEST(KernelsParityPermute, ElementGranularGatherPathBitwise) {
     auto want = permute(t, new_ixs);
     const PermuteMap map(permutation_between(ixs, new_ixs), rank);
     ASSERT_EQ(map.block_elems(), 1u);
-    for (IsaTier tier : compiled_isa_tiers()) {
+    for (IsaTier tier : device::runnable_isa_tiers()) {
       Tensor got(new_ixs);
       permute_apply_simd(tier, map, t.raw(), got.raw());
       ASSERT_TRUE(bitwise_equal(want, got)) << isa_name(tier) << " rank=" << rank;
@@ -238,7 +239,7 @@ TEST(KernelsParityPermute, ElementGranularGatherPathBitwise) {
   }
 }
 
-// --- backend-level parity: every registered backend vs host ---------------
+// --- backend-level parity: every registered backend vs the reference ------
 
 TEST(KernelsParityBackends, GemmBitwiseAcrossAllAvailableSpecs) {
   Rng rng(0xabcd);
@@ -246,7 +247,7 @@ TEST(KernelsParityBackends, GemmBitwiseAcrossAllAvailableSpecs) {
     for (const char* suffix : {"", "+fp32", "+bf16"}) {
       const std::string spec = info.name + suffix;
       auto backend = device::make_backend(spec);
-      auto host = device::make_backend("host" + std::string(suffix));
+      auto ref = test::reference_backend(backend->precision());
       for (int trial = 0; trial < 12; ++trial) {
         const int m = rng.next_int(1, 33);
         const int n = rng.next_int(1, 65);
@@ -254,7 +255,7 @@ TEST(KernelsParityBackends, GemmBitwiseAcrossAllAvailableSpecs) {
         auto a = random_buf(size_t(m) * k, 7000 + uint64_t(trial));
         auto b = random_buf(size_t(k) * n, 8000 + uint64_t(trial));
         AlignedCfloatVec want(size_t(m) * n), got(size_t(m) * n);
-        host->gemm(m, n, k, a.data(), b.data(), want.data(), nullptr, nullptr);
+        ref.gemm(m, n, k, a.data(), b.data(), want.data(), nullptr, nullptr);
         backend->gemm(m, n, k, a.data(), b.data(), got.data(), nullptr, nullptr);
         ASSERT_TRUE(same_bits(want.data(), got.data(), want.size()))
             << spec << " m=" << m << " n=" << n << " k=" << k;
@@ -272,8 +273,8 @@ TEST(KernelsParityBackends, StemWindowBitwiseAcrossAllAvailableSpecs) {
   for (const char* suffix : {"", "+bf16"}) {
     exec::ContractStats hcs;
     device::DeviceStats hds;
-    auto want = test::run_compiled_chain(*device::make_backend("host" + std::string(suffix)), w0,
-                                         branches, &hcs, &hds);
+    auto ref = test::reference_backend(device::parse_backend_spec(suffix).precision);
+    auto want = test::run_compiled_chain(ref, w0, branches, &hcs, &hds);
     for (const auto& info : device::available_backends()) {
       const std::string spec = info.name + suffix;
       exec::ContractStats cs;
@@ -312,7 +313,7 @@ TEST(KernelsParityBf16, ParallelMatchesSerialEveryTier) {
   const int m = 96, n = 48, k = 320;
   auto a = random_buf(size_t(m) * k, 71);
   auto b = random_buf(size_t(k) * n, 72);
-  for (IsaTier tier : compiled_isa_tiers()) {
+  for (IsaTier tier : device::runnable_isa_tiers()) {
     AlignedCfloatVec serial(size_t(m) * n), par(size_t(m) * n);
     cgemm_simd(tier, Precision::kBf16, m, n, k, a.data(), b.data(), serial.data());
     ThreadPool pool(4);
@@ -393,6 +394,14 @@ TEST(KernelsParityProbe, ActiveTierIsCompiledAndLanesAgree) {
   const auto& p = device::cpu_probe();
   const auto tiers = compiled_isa_tiers();
   EXPECT_NE(std::find(tiers.begin(), tiers.end(), p.active), tiers.end());
+  // The runnable tiers are compiled ones, start at portable and reach the
+  // detected tier (and so the active one).
+  const auto runnable = device::runnable_isa_tiers();
+  ASSERT_FALSE(runnable.empty());
+  EXPECT_EQ(runnable.front(), IsaTier::kPortable);
+  for (IsaTier t : runnable) EXPECT_NE(std::find(tiers.begin(), tiers.end(), t), tiers.end());
+  EXPECT_NE(std::find(runnable.begin(), runnable.end(), p.detected), runnable.end());
+  EXPECT_NE(std::find(runnable.begin(), runnable.end(), p.active), runnable.end());
   EXPECT_EQ(device::probe_simd_lanes(), isa_lanes(p.active));
   EXPECT_FALSE(device::probe_isa_label().empty());
 }
