@@ -2,8 +2,7 @@
 // conditions — (1) static greedy (cotengra baseline, §2.1.2), (2) dynamic
 // slicing with interleaved local tuning (Alibaba, ref [16]), (3) the
 // lifetime finder alone (Algorithm 1), (4) lifetime finder + SA refiner
-// (Algorithm 1 + 2, the paper's full pipeline). DESIGN.md calls this out as
-// the design-choice ablation.
+// (Algorithm 1 + 2, the paper's full pipeline).
 #include <cmath>
 
 #include "bench_common.hpp"

@@ -1,8 +1,7 @@
 // Shared setup for the figure-reproduction benches.
 //
-// Each bench binary regenerates one table/figure of the paper (see
-// DESIGN.md's experiment index). They print the same rows/series the paper
-// plots; EXPERIMENTS.md records paper-vs-measured shapes.
+// Each bench binary regenerates one table/figure of the paper and prints
+// the same rows/series the paper plots.
 //
 // Scale note: the paper's flagship network is Sycamore-53 m=20. Planning
 // figures (6, 7, 10) run on exactly that network class (analysis only — no

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
 
   // Slicing depth below the path's fattest tensor. The paper slices cotengra
   // rank~45 trees down to 2^30 (depth ~15); our in-repo planner finds fatter
-  // trees (see EXPERIMENTS.md), so the depth, not the absolute target, is
-  // the reproduced parameter.
+  // trees (see ROADMAP.md, "Where the remaining gain is"), so the depth, not
+  // the absolute target, is the reproduced parameter.
   const int depth = argc > 2 ? std::atoi(argv[2]) : 12;
 
   auto inst = bench::sycamore_instance(cycles);

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
   // Sweep the target from just-below the path's fattest tensor down to 16
   // ranks below it; the paper's absolute targets assume cotengra-quality
-  // trees (see EXPERIMENTS.md).
+  // trees (see ROADMAP.md, "Where the remaining gain is").
   const double top = inst.tree->max_log2size();
   for (double t = top - 1; t >= top - 16 && t >= 4; t -= 1) {
     core::SliceFinderOptions fo;

@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
   po.path.greedy_trials = 48;
   po.path.partition_trials = 16;
   // The paper slices cotengra rank-45 trees to 2^30 (8 GB, inside a 16 GB
-  // CG). Our in-repo planner finds fatter trees (EXPERIMENTS.md), so we
-  // reproduce the paper's slicing DEPTH; the projection arithmetic is
-  // unchanged.
+  // CG). Our in-repo planner finds fatter trees (ROADMAP.md, "Where the
+  // remaining gain is"), so we reproduce the paper's slicing DEPTH; the
+  // projection arithmetic is unchanged.
   auto probe_path = path::find_path(ln.net, po.path);
   po.target_log2size = std::max(30.0, probe_path.log2size - 14.0);
   auto plan = core::make_plan(ln.net, po, std::move(probe_path));

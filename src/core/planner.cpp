@@ -16,9 +16,8 @@ std::string plan_options_text(const PlanOptions& opt) {
   std::ostringstream o;
   o.precision(17);  // doubles round-trip exactly
   o << "path:" << opt.path.greedy_trials << ',' << opt.path.partition_trials << ','
-    << opt.path.community_trials << ',' << opt.path.temperature << ','
-    << int(opt.path.tune) << ',' << opt.path.tune_max_leaves << ',' << opt.path.tune_sweeps
-    << ',' << opt.path.seed;
+    << opt.path.temperature << ',' << int(opt.path.tune) << ',' << opt.path.tune_max_leaves
+    << ',' << opt.path.tune_sweeps << ',' << opt.path.seed;
   o << "|target:" << opt.target_log2size;
   o << "|slicer:" << int(opt.slicer);
   // refiner.target_log2size and refiner.seed are absent: make_plan

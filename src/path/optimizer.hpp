@@ -1,10 +1,12 @@
 // Multi-trial path optimization driver (the cotengra "anytime" loop).
 //
-// Runs a budget of randomized greedy / partition / community trials, keeps
-// the best tree by Eq. 1 cost, then applies subtree local tuning. Every raw
-// trial is returned too, so the planner can rank them by their sliced cost
-// (core::make_plan). This is the front half of the planning pipeline; the
-// back half (slicing) lives in core/.
+// Runs a budget of randomized greedy / partition trials, keeps the best tree
+// by Eq. 1 cost, then applies subtree local tuning. The trials run on
+// short-lived threads and are folded in trial-index order, so the result is
+// the same for any thread count. Every raw trial is returned too, so the
+// planner can rank them by their sliced cost (core::make_plan). This is the
+// front half of the planning pipeline; the back half (slicing) lives in
+// core/.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +20,6 @@ namespace ltns::path {
 struct OptimizerOptions {
   int greedy_trials = 24;
   int partition_trials = 8;
-  int community_trials = 0;   // O(V^3); enable only for small networks
   double temperature = 0.6;   // greedy-noise scale after the first trial
   bool tune = true;
   int tune_max_leaves = 8;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "path/community.hpp"
+#include <cmath>
+#include <cstring>
+#include <optional>
+#include <thread>
+
+#include "core/planner.hpp"
 #include "path/greedy.hpp"
 #include "path/local_tune.hpp"
 #include "path/optimizer.hpp"
@@ -83,17 +88,6 @@ TEST(PartitionPath, ValidOnRandomNetworks) {
     opt.seed = seed;
     expect_valid_path(net, partition_path(net, opt));
   }
-}
-
-TEST(CommunityPath, ValidOnSmallNetworks) {
-  auto ln = test::small_network(3, 4, 6);
-  expect_valid_path(ln.net, community_path(ln.net));
-}
-
-TEST(CommunityLabels, CoverAliveVertices) {
-  auto ln = test::small_network(3, 4, 6);
-  auto labels = label_propagation_communities(ln.net);
-  for (auto v : ln.net.alive_vertices()) EXPECT_NE(labels[size_t(v)], tn::kNone);
 }
 
 TEST(OptimalOrder, MatchesExhaustiveOnTriangle) {
@@ -180,6 +174,122 @@ TEST(Optimizer, PicksBestAcrossFamilies) {
   // Best-of-N is at least as good as the deterministic greedy alone.
   auto tg = tn::ContractionTree::build(ln.net, greedy_path(ln.net));
   EXPECT_LE(r.log2cost, tg.total_log2cost() + 1e-9);
+}
+
+// find_path as a serial loop: each trial built and folded as soon as it
+// runs, in trial order, then the winner tuned. The threaded find_path must
+// return these bytes whatever its thread count.
+PathResult serial_find_path(const tn::TensorNetwork& net, const OptimizerOptions& opt) {
+  PathResult best;
+  auto consider = [&](tn::SsaPath p, const char* family, int i) {
+    auto tree = tn::ContractionTree::build(net, p);
+    const int index = int(best.trials.size());
+    const std::string method = std::string(family) + '#' + std::to_string(i);
+    best.trials.push_back({p, tree.total_log2cost(), index, method});
+    bool better = best.best_trial < 0 || tree.total_log2cost() < best.log2cost - 1e-12 ||
+                  (std::abs(tree.total_log2cost() - best.log2cost) <= 1e-12 &&
+                   tree.max_log2size() < best.log2size);
+    if (better) {
+      best.path = std::move(p);
+      best.log2cost = tree.total_log2cost();
+      best.log2size = tree.max_log2size();
+      best.method = method;
+      best.best_trial = index;
+    }
+  };
+  for (int i = 0; i < opt.greedy_trials; ++i) {
+    GreedyOptions g;
+    g.temperature = (i == 0 ? 0.0 : opt.temperature);
+    g.seed = opt.seed + uint64_t(i) * 0x9e37;
+    consider(greedy_path(net, g), "greedy", i);
+  }
+  for (int i = 0; i < opt.partition_trials; ++i) {
+    PartitionOptions p;
+    p.seed = opt.seed + 0x1234 + uint64_t(i) * 0x51ed;
+    consider(partition_path(net, p), "partition", i);
+  }
+  if (opt.tune && best.best_trial >= 0) {
+    auto tuned = local_tune(tn::ContractionTree::build(net, best.path),
+                            LocalTuneOptions{opt.tune_max_leaves, opt.tune_sweeps});
+    if (tuned.log2cost_after < best.log2cost) {
+      best.path = std::move(tuned.path);
+      best.log2cost = tuned.log2cost_after;
+      best.log2size = tn::ContractionTree::build(net, best.path).max_log2size();
+      best.method += "+tune";
+    }
+  }
+  return best;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_same_result(const PathResult& got, const PathResult& want, const char* name) {
+  EXPECT_EQ(got.path.leaf_vertices, want.path.leaf_vertices) << name;
+  EXPECT_EQ(got.path.steps, want.path.steps) << name;
+  EXPECT_TRUE(same_bits(got.log2cost, want.log2cost)) << name;
+  EXPECT_TRUE(same_bits(got.log2size, want.log2size)) << name;
+  EXPECT_EQ(got.method, want.method) << name;
+  EXPECT_EQ(got.best_trial, want.best_trial) << name;
+  ASSERT_EQ(got.trials.size(), want.trials.size()) << name;
+  for (size_t i = 0; i < got.trials.size(); ++i) {
+    const auto& g = got.trials[i];
+    const auto& w = want.trials[i];
+    EXPECT_EQ(g.path.leaf_vertices, w.path.leaf_vertices) << name << " trial " << i;
+    EXPECT_EQ(g.path.steps, w.path.steps) << name << " trial " << i;
+    EXPECT_TRUE(same_bits(g.log2cost, w.log2cost)) << name << " trial " << i;
+    EXPECT_EQ(g.index, w.index) << name << " trial " << i;
+    EXPECT_EQ(g.method, w.method) << name << " trial " << i;
+  }
+}
+
+TEST(Optimizer, ParallelTrialsMatchSerialFold) {
+  struct Case {
+    const char* name;
+    circuit::LoweredNetwork ln;
+    OptimizerOptions opt;
+  };
+  std::vector<Case> cases;
+  {
+    // The `ltns_cli gen-sycamore 12 5 | ltns_cli plan -` network and budget.
+    circuit::RqcOptions ro;
+    ro.cycles = 12;
+    ro.seed = 5;
+    auto ln = circuit::lower(circuit::random_quantum_circuit(circuit::Device::sycamore53(), ro));
+    circuit::simplify(ln);
+    OptimizerOptions opt;
+    opt.greedy_trials = 32;
+    opt.partition_trials = 8;
+    cases.push_back({"sycamore53 m12", std::move(ln), opt});
+  }
+  cases.push_back({"grid4x5 m14", test::small_network(4, 5, 14), OptimizerOptions{}});
+  for (const auto& c : cases) {
+    const auto want = serial_find_path(c.ln.net, c.opt);
+    expect_same_result(find_path(c.ln.net, c.opt), want, c.name);
+    // Again: thread timing differs from run to run, the bytes may not.
+    expect_same_result(find_path(c.ln.net, c.opt), want, c.name);
+  }
+}
+
+TEST(Optimizer, ConcurrentMakePlanCallersMatchALoneCall) {
+  // make_plan callers share one process (a server's poll thread next to a
+  // Simulator); each call's trial threads must not disturb the others'.
+  auto ln = test::small_network(4, 5, 14);
+  core::PlanOptions po;
+  po.target_log2size = 14;
+  const auto lone = core::make_plan(ln.net, po);
+  std::vector<std::optional<core::Plan>> got(3);
+  std::vector<std::thread> callers;
+  for (auto& g : got) callers.emplace_back([&] { g = core::make_plan(ln.net, po); });
+  for (auto& t : callers) t.join();
+  for (const auto& p : got) {
+    ASSERT_TRUE(p);
+    const core::Plan& g = *p;
+    EXPECT_EQ(g.path.leaf_vertices, lone.path.leaf_vertices);
+    EXPECT_EQ(g.path.steps, lone.path.steps);
+    EXPECT_EQ(g.slices.to_vector(), lone.slices.to_vector());
+    EXPECT_EQ(std::memcmp(&g.metrics, &lone.metrics, sizeof(core::SlicedMetrics)), 0);
+    EXPECT_EQ(g.path_method, lone.path_method);
+  }
 }
 
 class OptimizerSweep : public ::testing::TestWithParam<uint64_t> {};
